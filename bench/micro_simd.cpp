@@ -93,6 +93,19 @@ int main() {
   std::vector<float> gc(static_cast<std::size_t>(gm * gn), 0.0F);
   for (auto& v : ga) v = static_cast<float>(rng.next_double() * 2.0 - 1.0);
   for (auto& v : gb) v = static_cast<float>(rng.next_double() * 2.0 - 1.0);
+  // The wide MLP's hidden layer at batch 32 (the stepbench model): forward
+  // x * W^T, dInput d * W and gradW d^T * x. mlp_small holds the 32 x 1024
+  // activations and deltas, mlp_w the 1024 x 1024 weights and gradient.
+  const std::int64_t mb = 32;
+  const std::int64_t mw = 1024;
+  std::vector<float> mlp_x(static_cast<std::size_t>(mb * mw));
+  std::vector<float> mlp_d(static_cast<std::size_t>(mb * mw));
+  std::vector<float> mlp_y(static_cast<std::size_t>(mb * mw));
+  std::vector<float> mlp_w(static_cast<std::size_t>(mw * mw));
+  std::vector<float> mlp_gw(static_cast<std::size_t>(mw * mw));
+  for (auto* buf : {&mlp_x, &mlp_d, &mlp_w})
+    for (auto& v : *buf) v = static_cast<float>(rng.next_double() * 2.0 - 1.0);
+  const double mlp_bytes = static_cast<double>((2 * mb * mw + mw * mw) * 4);
 
   const double nf = static_cast<double>(n);
   const std::vector<Kernel> kernels = {
@@ -116,6 +129,12 @@ int main() {
       // the interesting column for it is speedup, not bytes/cycle.
       {"gemm_nn_256", static_cast<double>((gm * gk + gk * gn + gm * gn) * 4), 10,
        [&] { simd::gemm_nn(ga.data(), gb.data(), gc.data(), 0, gm, gk, gn); }},
+      {"gemm_nt_32x1024x1024", mlp_bytes, 10,
+       [&] { simd::gemm_nt(mlp_x.data(), mlp_w.data(), mlp_y.data(), 0, mb, mw, mw); }},
+      {"gemm_nn_32x1024x1024", mlp_bytes, 10,
+       [&] { simd::gemm_nn(mlp_d.data(), mlp_w.data(), mlp_y.data(), 0, mb, mw, mw); }},
+      {"gemm_tn_1024x32x1024", mlp_bytes, 10,
+       [&] { simd::gemm_tn(mlp_d.data(), mlp_x.data(), mlp_gw.data(), 0, mw, mb, mw, mw); }},
   };
 
   std::vector<KernelResult> results;

@@ -79,10 +79,11 @@ AggregateStats DgcCompressor::aggregate(LayerId layer, int rank, comm::ThreadCom
   const auto gathered = comm.allgather(rank, payload);
 
   stats::WallTimer decode_timer;
+  const std::int64_t n = grad.numel();
   grad.fill(0.0F);
   auto out = grad.data();
   for (const auto& msg : gathered) {
-    const auto remote = TopKCompressor::deserialize(msg);
+    const auto remote = TopKCompressor::deserialize(msg, n);
     for (std::size_t j = 0; j < remote.indices.size(); ++j)
       out[static_cast<std::size_t>(remote.indices[j])] += remote.values[j];
   }

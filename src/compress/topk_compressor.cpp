@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "stats/timer.hpp"
 #include "tensor/half.hpp"
@@ -50,20 +51,29 @@ std::vector<std::byte> TopKCompressor::serialize(const tensor::TopKResult& spars
     std::memcpy(p, &idx32, sizeof(idx32));
     p += sizeof(idx32);
   }
-  std::memcpy(p, sparse.values.data(), sparse.values.size() * sizeof(float));
+  // memcpy's pointers must be non-null even for zero bytes.
+  if (!sparse.values.empty())
+    std::memcpy(p, sparse.values.data(), sparse.values.size() * sizeof(float));
   return out;
 }
 
-tensor::TopKResult TopKCompressor::deserialize(std::span<const std::byte> bytes) {
+namespace {
+
+// Reads the [k:int64][indices:int32*k] prefix both wire formats share into
+// `sparse` and returns the start of the k values. k is checked against the
+// payload size before it is multiplied, and every index against [0, n).
+const std::byte* read_sparse_prefix(std::span<const std::byte> bytes, std::int64_t n,
+                                    std::size_t value_bytes, const char* who,
+                                    tensor::TopKResult& sparse) {
   if (bytes.size() < sizeof(std::int64_t))
-    throw std::invalid_argument("TopKCompressor::deserialize: truncated payload");
+    throw std::invalid_argument(std::string(who) + ": truncated payload");
   std::int64_t k = 0;
   std::memcpy(&k, bytes.data(), sizeof(k));
-  const std::size_t expected =
-      sizeof(std::int64_t) + static_cast<std::size_t>(k) * (sizeof(std::int32_t) + sizeof(float));
-  if (k < 0 || bytes.size() != expected)
-    throw std::invalid_argument("TopKCompressor::deserialize: corrupt payload");
-  tensor::TopKResult sparse;
+  const std::size_t entry = sizeof(std::int32_t) + value_bytes;
+  const std::size_t body = bytes.size() - sizeof(std::int64_t);
+  if (k < 0 || static_cast<std::uint64_t>(k) > body / entry ||
+      static_cast<std::size_t>(k) * entry != body)
+    throw std::invalid_argument(std::string(who) + ": corrupt payload");
   sparse.indices.resize(static_cast<std::size_t>(k));
   sparse.values.resize(static_cast<std::size_t>(k));
   const std::byte* p = bytes.data() + sizeof(k);
@@ -71,9 +81,21 @@ tensor::TopKResult TopKCompressor::deserialize(std::span<const std::byte> bytes)
     std::int32_t idx32 = 0;
     std::memcpy(&idx32, p, sizeof(idx32));
     p += sizeof(idx32);
+    if (idx32 < 0 || idx32 >= n)
+      throw std::invalid_argument(std::string(who) + ": index out of range");
     sparse.indices[i] = idx32;
   }
-  std::memcpy(sparse.values.data(), p, sparse.values.size() * sizeof(float));
+  return p;
+}
+
+}  // namespace
+
+tensor::TopKResult TopKCompressor::deserialize(std::span<const std::byte> bytes, std::int64_t n) {
+  tensor::TopKResult sparse;
+  const std::byte* p =
+      read_sparse_prefix(bytes, n, sizeof(float), "TopKCompressor::deserialize", sparse);
+  if (!sparse.values.empty())
+    std::memcpy(sparse.values.data(), p, sparse.values.size() * sizeof(float));
   return sparse;
 }
 
@@ -91,32 +113,17 @@ std::vector<std::byte> TopKCompressor::serialize_half(const tensor::TopKResult& 
     p += sizeof(idx32);
   }
   const auto halves = tensor::to_half(sparse.values);
-  std::memcpy(p, halves.data(), halves.size() * sizeof(std::uint16_t));
+  if (!halves.empty()) std::memcpy(p, halves.data(), halves.size() * sizeof(std::uint16_t));
   return out;
 }
 
-tensor::TopKResult TopKCompressor::deserialize_half(std::span<const std::byte> bytes) {
-  if (bytes.size() < sizeof(std::int64_t))
-    throw std::invalid_argument("TopKCompressor::deserialize_half: truncated payload");
-  std::int64_t k = 0;
-  std::memcpy(&k, bytes.data(), sizeof(k));
-  const std::size_t expected =
-      sizeof(std::int64_t) +
-      static_cast<std::size_t>(k) * (sizeof(std::int32_t) + sizeof(std::uint16_t));
-  if (k < 0 || bytes.size() != expected)
-    throw std::invalid_argument("TopKCompressor::deserialize_half: corrupt payload");
+tensor::TopKResult TopKCompressor::deserialize_half(std::span<const std::byte> bytes,
+                                                    std::int64_t n) {
   tensor::TopKResult sparse;
-  sparse.indices.resize(static_cast<std::size_t>(k));
-  sparse.values.resize(static_cast<std::size_t>(k));
-  const std::byte* p = bytes.data() + sizeof(k);
-  for (std::size_t i = 0; i < sparse.indices.size(); ++i) {
-    std::int32_t idx32 = 0;
-    std::memcpy(&idx32, p, sizeof(idx32));
-    p += sizeof(idx32);
-    sparse.indices[i] = idx32;
-  }
-  std::vector<std::uint16_t> halves(static_cast<std::size_t>(k));
-  std::memcpy(halves.data(), p, halves.size() * sizeof(std::uint16_t));
+  const std::byte* p = read_sparse_prefix(bytes, n, sizeof(std::uint16_t),
+                                          "TopKCompressor::deserialize_half", sparse);
+  std::vector<std::uint16_t> halves(sparse.values.size());
+  if (!halves.empty()) std::memcpy(halves.data(), p, halves.size() * sizeof(std::uint16_t));
   tensor::from_half(halves, sparse.values);
   return sparse;
 }
@@ -125,15 +132,44 @@ std::vector<std::byte> TopKCompressor::encode(const tensor::TopKResult& sparse) 
   return fp16_values_ ? serialize_half(sparse) : serialize(sparse);
 }
 
-tensor::TopKResult TopKCompressor::decode(std::span<const std::byte> bytes) const {
-  return fp16_values_ ? deserialize_half(bytes) : deserialize(bytes);
+tensor::TopKResult TopKCompressor::decode(std::span<const std::byte> bytes,
+                                          std::int64_t n) const {
+  return fp16_values_ ? deserialize_half(bytes, n) : deserialize(bytes, n);
 }
 
-tensor::Tensor TopKCompressor::with_residual(LayerId layer, const tensor::Tensor& grad) const {
-  if (!error_feedback_) return grad;
-  const auto it = residuals_.find(layer);
-  if (it == residuals_.end()) return grad;
-  return tensor::add(grad, it->second);
+std::vector<std::byte> TopKCompressor::select_and_encode(LayerId layer,
+                                                         const tensor::Tensor& grad) {
+  std::span<const float> work = grad.data();
+  tensor::Tensor* residual = nullptr;
+  if (error_feedback_) {
+    const auto [it, fresh] = residuals_.try_emplace(layer);
+    residual = &it->second;
+    if (fresh) {
+      *residual = grad;  // a copy, so a -0.0 gradient stays -0.0
+    } else {
+      if (residual->numel() != grad.numel())
+        throw std::invalid_argument("TopKCompressor: residual size mismatch");
+      const auto g = grad.data();
+      const auto r = residual->data();
+      for (std::size_t i = 0; i < r.size(); ++i) r[i] = g[i] + r[i];
+    }
+    work = residual->data();
+  }
+  tensor::top_k_abs_into(work, k_for(grad.numel()), sparse_scratch_, &workspace_);
+  auto payload = encode(sparse_scratch_);
+  if (residual != nullptr) {
+    // What was sent leaves the residual. A kept value is sent exactly, and
+    // x - x == +0 for finite x, so it is zeroed; fp16 mode subtracts the
+    // rounded value the receivers decode.
+    const auto r = residual->data();
+    for (std::size_t j = 0; j < sparse_scratch_.indices.size(); ++j) {
+      float& slot = r[static_cast<std::size_t>(sparse_scratch_.indices[j])];
+      slot = fp16_values_
+                 ? slot - tensor::half_to_float(tensor::float_to_half(sparse_scratch_.values[j]))
+                 : 0.0F;
+    }
+  }
+  return payload;
 }
 
 AggregateStats TopKCompressor::aggregate(LayerId layer, int rank, comm::ThreadComm& comm,
@@ -143,16 +179,7 @@ AggregateStats TopKCompressor::aggregate(LayerId layer, int rank, comm::ThreadCo
   stats.bytes_sent = compressed_bytes(grad.shape());
 
   stats::WallTimer encode_timer;
-  tensor::Tensor work = with_residual(layer, grad);
-  tensor::top_k_abs_into(work.data(), k_for(n), sparse_scratch_, &workspace_);
-  const auto payload = encode(sparse_scratch_);
-  if (error_feedback_) {
-    // Residual = what the selection (and, in fp16 mode, the value
-    // quantization) dropped: measured against the decoded estimate.
-    tensor::Tensor kept(grad.shape());
-    tensor::scatter(decode(payload), kept.data());
-    residuals_[layer] = tensor::sub(work, kept);
-  }
+  const auto payload = select_and_encode(layer, grad);
   stats.encode_seconds = encode_timer.seconds();
 
   // Not all-reduce compatible: gather everyone's sparse payload. Memory and
@@ -164,7 +191,7 @@ AggregateStats TopKCompressor::aggregate(LayerId layer, int rank, comm::ThreadCo
   grad.fill(0.0F);
   auto out = grad.data();
   for (const auto& msg : gathered) {
-    const auto remote = decode(msg);
+    const auto remote = decode(msg, n);
     for (std::size_t j = 0; j < remote.indices.size(); ++j)
       out[static_cast<std::size_t>(remote.indices[j])] += remote.values[j];
   }
@@ -174,11 +201,9 @@ AggregateStats TopKCompressor::aggregate(LayerId layer, int rank, comm::ThreadCo
 }
 
 tensor::Tensor TopKCompressor::roundtrip(LayerId layer, const tensor::Tensor& grad) {
-  tensor::Tensor work = with_residual(layer, grad);
-  tensor::top_k_abs_into(work.data(), k_for(grad.numel()), sparse_scratch_, &workspace_);
+  const auto payload = select_and_encode(layer, grad);
   tensor::Tensor kept(grad.shape());
-  tensor::scatter(decode(encode(sparse_scratch_)), kept.data());
-  if (error_feedback_) residuals_[layer] = tensor::sub(work, kept);
+  tensor::scatter(decode(payload, grad.numel()), kept.data());
   return kept;
 }
 

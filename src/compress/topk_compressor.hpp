@@ -39,16 +39,27 @@ class TopKCompressor final : public Compressor {
   [[nodiscard]] std::int64_t k_for(std::int64_t numel) const;
 
   // Wire serialization (exposed for tests): [k:int64][indices:int32*k][values:float*k].
+  // The decoders take the element count n of the dense gradient and throw
+  // std::invalid_argument on a payload whose size does not match its k or
+  // that holds an index outside [0, n).
   [[nodiscard]] static std::vector<std::byte> serialize(const tensor::TopKResult& sparse);
-  [[nodiscard]] static tensor::TopKResult deserialize(std::span<const std::byte> bytes);
+  [[nodiscard]] static tensor::TopKResult deserialize(std::span<const std::byte> bytes,
+                                                      std::int64_t n);
   // Half-precision value variant: [k:int64][indices:int32*k][values:half*k].
   [[nodiscard]] static std::vector<std::byte> serialize_half(const tensor::TopKResult& sparse);
-  [[nodiscard]] static tensor::TopKResult deserialize_half(std::span<const std::byte> bytes);
+  [[nodiscard]] static tensor::TopKResult deserialize_half(std::span<const std::byte> bytes,
+                                                           std::int64_t n);
 
  private:
-  [[nodiscard]] tensor::Tensor with_residual(LayerId layer, const tensor::Tensor& grad) const;
+  // Selects the top-k of the gradient (plus, with error feedback, the
+  // layer's residual, which accumulates the gradient in place) into
+  // sparse_scratch_ and returns its payload. The residual then keeps what
+  // the selection, and in fp16 mode the value rounding, dropped.
+  [[nodiscard]] std::vector<std::byte> select_and_encode(LayerId layer,
+                                                         const tensor::Tensor& grad);
   [[nodiscard]] std::vector<std::byte> encode(const tensor::TopKResult& sparse) const;
-  [[nodiscard]] tensor::TopKResult decode(std::span<const std::byte> bytes) const;
+  [[nodiscard]] tensor::TopKResult decode(std::span<const std::byte> bytes,
+                                          std::int64_t n) const;
 
   double fraction_;
   bool error_feedback_;

@@ -69,7 +69,8 @@ Tensor materialize(const Tensor& a, Transpose op) {
 
 }  // namespace
 
-void matmul_into(const Tensor& a, const Tensor& b, Transpose ta, Transpose tb, Tensor& out) {
+void matmul_into(const Tensor& a, const Tensor& b, Transpose ta, Transpose tb, Tensor& out,
+                 const simd::Epilogue& ep) {
   require_2d(a, "matmul(a)");
   require_2d(b, "matmul(b)");
   const auto [m, ka] = op_dims(a, ta);
@@ -77,33 +78,37 @@ void matmul_into(const Tensor& a, const Tensor& b, Transpose ta, Transpose tb, T
   if (ka != kb) throw std::invalid_argument("matmul: inner dimensions mismatch");
   const std::int64_t k = ka;
 
-  if (out.ndim() != 2 || out.dim(0) != m || out.dim(1) != n)
-    out = Tensor({m, n});
-  else
-    out.fill(0.0F);
+  // The kernels overwrite every element of C, so a correctly shaped `out` is
+  // reused as is.
+  if (out.ndim() != 2 || out.dim(0) != m || out.dim(1) != n) out = Tensor({m, n});
 
   // The double-transpose case is rare (no kernel uses it); fall back to
   // materializing A^T and reusing the T/N-free path.
   if (ta == Transpose::kYes && tb == Transpose::kYes) {
     const Tensor am = materialize(a, ta);
-    matmul_into(am, b, Transpose::kNo, tb, out);
+    matmul_into(am, b, Transpose::kNo, tb, out, ep);
     return;
   }
 
-  const float* pa = a.data().data();
-  const float* pb = b.data().data();
-  float* pc = out.data().data();
-
-  // Row kernels live in tensor::simd (8x8 FMA register tiles on AVX2, the
-  // historical cache-blocked loops as the scalar reference).
+  // Row kernels live in tensor::simd. The body captures one reference so
+  // the std::function parallel_for takes stays in its small buffer: the
+  // call allocates nothing when it runs inline.
+  const struct {
+    const float* pa;
+    const float* pb;
+    float* pc;
+    std::int64_t m, k, n;
+    Transpose ta, tb;
+    const simd::Epilogue& ep;
+  } g{a.data().data(), b.data().data(), out.data().data(), m, k, n, ta, tb, ep};
   core::global_pool().parallel_for(
-      0, m, pick_row_grain(m, k, n), [&](std::int64_t i0, std::int64_t i1) {
-        if (ta == Transpose::kYes)
-          simd::gemm_tn(pa, pb, pc, i0, i1, k, m, n);
-        else if (tb == Transpose::kYes)
-          simd::gemm_nt(pa, pb, pc, i0, i1, k, n);
+      0, m, pick_row_grain(m, k, n), [&g](std::int64_t i0, std::int64_t i1) {
+        if (g.ta == Transpose::kYes)
+          simd::gemm_tn(g.pa, g.pb, g.pc, i0, i1, g.k, g.m, g.n, g.ep);
+        else if (g.tb == Transpose::kYes)
+          simd::gemm_nt(g.pa, g.pb, g.pc, i0, i1, g.k, g.n, g.ep);
         else
-          simd::gemm_nn(pa, pb, pc, i0, i1, k, n);
+          simd::gemm_nn(g.pa, g.pb, g.pc, i0, i1, g.k, g.n, g.ep);
       });
 }
 

@@ -2,11 +2,12 @@
 //
 // PowerSGD is two GEMMs plus a Gram-Schmidt orthogonalization per layer per
 // step; ATOMO needs a singular value decomposition. Implemented from scratch
-// (no external BLAS) with a cache-blocked i-k-j GEMM kernel.
+// (no external BLAS) on the tensor::simd GEMM kernels.
 #pragma once
 
 #include <cstdint>
 
+#include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 
 namespace gradcomp::tensor {
@@ -20,11 +21,13 @@ enum class Transpose : std::uint8_t { kNo, kYes };
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b,
                             Transpose ta = Transpose::kNo, Transpose tb = Transpose::kNo);
 
-// Allocation-free variant: writes into `out`, reshaping it only when its
-// element count differs (so a caller-held scratch tensor is reused across
-// iterations). The N/T and T/N cases run natively without materializing
-// the transpose.
-void matmul_into(const Tensor& a, const Tensor& b, Transpose ta, Transpose tb, Tensor& out);
+// Allocation-free variant: overwrites `out`, reallocating it only when its
+// shape differs (so a caller-held scratch tensor is reused across
+// iterations), then applies `ep` to every element (its bias holds n floats,
+// its gate an m x n matrix that must not be `out`). The N/T and T/N cases
+// run natively without materializing the transpose.
+void matmul_into(const Tensor& a, const Tensor& b, Transpose ta, Transpose tb, Tensor& out,
+                 const simd::Epilogue& ep = {});
 
 // y = A * x for 2-D A and 1-D x.
 [[nodiscard]] Tensor matvec(const Tensor& a, const Tensor& x);

@@ -14,11 +14,12 @@
 // they are bit-exact — including NaN, -0.0, and denormal inputs. The two
 // hardware-vs-software FP16 NaN mismatches (float->half NaN payload
 // truncation, half->float signaling-NaN quieting) are canonicalized with an
-// explicit blend to match the software converter. The GEMM kernels tile and
-// FMA the k-reduction, so they are only tolerance-equal (documented in the
-// header).
+// explicit blend to match the software converter. The AVX2 GEMM kernels are
+// bit-exact to the FMA order documented in the header, which differs from
+// the scalar kernels' order, so the two levels are only tolerance-equal.
 #include "tensor/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -169,6 +170,27 @@ void gemm_nt_scalar(const float* __restrict pa, const float* __restrict pb,
       crow[j] = acc;
     }
   }
+}
+
+// One C element's epilogue, in the order simd.hpp documents.
+inline float apply_epilogue(float c, const Epilogue& ep, std::int64_t i, std::int64_t j,
+                            std::int64_t n) {
+  if (ep.bias != nullptr) c += ep.bias[j];
+  if (ep.relu) c = std::max(c, 0.0F);
+  if (ep.gate != nullptr && ep.gate[i * n + j] <= 0.0F) c = 0.0F;
+  return c;
+}
+
+// The scalar dispatch path: zero the rows, accumulate into them with the
+// historical kernel, then run the epilogue element by element.
+template <typename Kernel>
+void gemm_scalar(float* c, std::int64_t i0, std::int64_t i1, std::int64_t n, const Epilogue& ep,
+                 const Kernel& accumulate) {
+  std::fill(c + i0 * n, c + i1 * n, 0.0F);
+  accumulate();
+  if (ep.bias == nullptr && !ep.relu && ep.gate == nullptr) return;
+  for (std::int64_t i = i0; i < i1; ++i)
+    for (std::int64_t j = 0; j < n; ++j) c[i * n + j] = apply_epilogue(c[i * n + j], ep, i, j, n);
 }
 
 #if GRADCOMP_SIMD_X86
@@ -371,6 +393,10 @@ GRADCOMP_AVX2 void terngrad_decode_avx2(const std::uint8_t* codes, std::int64_t 
 }
 
 // --- GEMM --------------------------------------------------------------------
+//
+// Each kernel keeps the per-element FMA order documented in simd.hpp; the
+// tiling below decides only which elements are in flight together, so the
+// bits never depend on the row range or the tile shapes.
 
 GRADCOMP_AVX2 inline float hsum8(__m256 v) {
   const __m128 lo = _mm256_castps256_ps128(v);
@@ -381,109 +407,256 @@ GRADCOMP_AVX2 inline float hsum8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-// 8x8 register-tiled FMA microkernel: 8 C-row accumulators stay in ymm
-// registers for the whole k-loop, each loaded B vector feeds 8 FMAs.
-// `a_stride`/`a_rowstep` abstract over the NN (A row-major, m x k) and TN
-// (A stored k x m, read down a column) indexings, which share the kernel.
-GRADCOMP_AVX2 inline void gemm_rows8_avx2(const float* a_base, std::int64_t a_kstep,
-                                          std::int64_t a_rowstep, const float* pb, float* pc,
-                                          std::int64_t i, std::int64_t k, std::int64_t n) {
-  for (std::int64_t j = 0; j < n; j += 8) {
-    const std::int64_t rem = std::min<std::int64_t>(8, n - j);
-    __m256 acc[8];
-    if (rem == 8) {
-      for (int r = 0; r < 8; ++r) acc[r] = _mm256_loadu_ps(pc + (i + r) * n + j);
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const __m256 b = _mm256_loadu_ps(pb + kk * n + j);
-        const float* ak = a_base + kk * a_kstep;
-        for (int r = 0; r < 8; ++r)
-          acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(ak[r * a_rowstep]), b, acc[r]);
-      }
-      for (int r = 0; r < 8; ++r) _mm256_storeu_ps(pc + (i + r) * n + j, acc[r]);
-    } else {
-      const __m256i mask = tail_mask(rem);
-      for (int r = 0; r < 8; ++r) acc[r] = _mm256_maskload_ps(pc + (i + r) * n + j, mask);
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const __m256 b = _mm256_maskload_ps(pb + kk * n + j, mask);
-        const float* ak = a_base + kk * a_kstep;
-        for (int r = 0; r < 8; ++r)
-          acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(ak[r * a_rowstep]), b, acc[r]);
-      }
-      for (int r = 0; r < 8; ++r) _mm256_maskstore_ps(pc + (i + r) * n + j, mask, acc[r]);
-    }
+// Lanes [0, rem) of p; rem in [1, 8]. A partial load never touches memory
+// past the last valid lane.
+GRADCOMP_AVX2 inline __m256 load_lanes(const float* p, std::int64_t rem) {
+  return rem == 8 ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, tail_mask(rem));
+}
+
+GRADCOMP_AVX2 inline void store_lanes(float* p, __m256 v, std::int64_t rem) {
+  if (rem == 8)
+    _mm256_storeu_ps(p, v);
+  else
+    _mm256_maskstore_ps(p, tail_mask(rem), v);
+}
+
+// apply_epilogue on the lanes [j, j + rem) of row i.
+GRADCOMP_AVX2 inline __m256 epilogue_avx2(__m256 c, const Epilogue& ep, std::int64_t i,
+                                          std::int64_t j, std::int64_t n, std::int64_t rem) {
+  const __m256 zero = _mm256_setzero_ps();
+  if (ep.bias != nullptr) c = _mm256_add_ps(c, load_lanes(ep.bias + j, rem));
+  // maxps returns its second operand unless the first is greater, so
+  // max(0, c) is std::max(c, 0.0f) exactly: NaN and -0.0 pass through.
+  if (ep.relu) c = _mm256_max_ps(zero, c);
+  if (ep.gate != nullptr)
+    c = _mm256_andnot_ps(_mm256_cmp_ps(load_lanes(ep.gate + i * n + j, rem), zero, _CMP_LE_OQ),
+                         c);
+  return c;
+}
+
+// NN/TN blocking. B is packed kc rows at a time (kBlockK, deeper for a
+// narrow B) into 16-column panels: rows of 16 floats, or 8 when at most 8
+// columns remain, zero-padded past n, in a stack buffer of kPackFloats. The
+// tile's B loads are then sequential instead of one per B row at B's row
+// stride. TN reads its A down the columns, also at a full-row stride, so
+// each kc x mc block of it is first copied to a second buffer.
+constexpr std::int64_t kPanelCols = 16;
+constexpr std::int64_t kBlockK = 256;
+constexpr std::int64_t kBlockM = 64;
+constexpr std::int64_t kShallowK = 64;
+constexpr std::int64_t kRowGroup = 8;
+constexpr std::int64_t kPackFloats = 16384;
+
+// Copies B[0:kc, 0:w) (row stride ldb, 1 <= w <= 16) into kc panel rows
+// of 8V floats, V = 1 when w <= 8 and 2 otherwise.
+GRADCOMP_AVX2 void pack_panel(const float* b, std::int64_t ldb, std::int64_t kc, std::int64_t w,
+                              float* dst) {
+  const std::int64_t stride = w > 8 ? 16 : 8;
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const float* src = b + kk * ldb;
+    float* row = dst + kk * stride;
+    _mm256_store_ps(row, load_lanes(src, std::min<std::int64_t>(w, 8)));
+    if (w > 8) _mm256_store_ps(row + 8, load_lanes(src + 8, w - 8));
   }
 }
 
-// Single-row fallback for the m % 8 remainder: plain FMA AXPY over j.
-GRADCOMP_AVX2 inline void gemm_row1_avx2(const float* a_base, std::int64_t a_kstep,
-                                         const float* pb, float* crow, std::int64_t k,
-                                         std::int64_t n) {
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const __m256 av = _mm256_set1_ps(a_base[kk * a_kstep]);
-    const float* brow = pb + kk * n;
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8)
-      _mm256_storeu_ps(crow + j,
-                       _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j), _mm256_loadu_ps(crow + j)));
-    if (j < n) {
-      const __m256i mask = tail_mask(n - j);
-      _mm256_maskstore_ps(crow + j, mask,
-                          _mm256_fmadd_ps(av, _mm256_maskload_ps(brow + j, mask),
-                                          _mm256_maskload_ps(crow + j, mask)));
+// An R x 8V tile of C at (i, j) against one packed panel; A element
+// (i + r, k0 + kk) is a[r * a_row + kk * a_k]. With `first` every chain
+// starts from +0, otherwise it continues from C; with `last` the epilogue
+// runs before the store. w is the panel's valid width, 8(V-1) < w <= 8V.
+template <int R, int V>
+GRADCOMP_AVX2 inline void panel_tile(const float* a, std::int64_t a_row, std::int64_t a_k,
+                                     const float* panel, std::int64_t kc, float* c,
+                                     std::int64_t i, std::int64_t j, std::int64_t n,
+                                     std::int64_t w, bool first, bool last, const Epilogue& ep) {
+  const auto rem = [w](std::int64_t v) { return std::min<std::int64_t>(8, w - 8 * v); };
+  __m256 acc[R][V];
+#pragma GCC unroll 8
+  for (std::int64_t r = 0; r < R; ++r)
+#pragma GCC unroll 2
+    for (std::int64_t v = 0; v < V; ++v)
+      acc[r][v] = first ? _mm256_setzero_ps() : load_lanes(c + (i + r) * n + j + 8 * v, rem(v));
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (std::int64_t v = 0; v < V; ++v) bv[v] = _mm256_load_ps(panel + kk * 8 * V + 8 * v);
+#pragma GCC unroll 8
+    for (std::int64_t r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * a_row + kk * a_k);
+#pragma GCC unroll 2
+      for (std::int64_t v = 0; v < V; ++v) acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
     }
+  }
+#pragma GCC unroll 8
+  for (std::int64_t r = 0; r < R; ++r)
+#pragma GCC unroll 2
+    for (std::int64_t v = 0; v < V; ++v) {
+      float* dst = c + (i + r) * n + j + 8 * v;
+      store_lanes(dst, last ? epilogue_avx2(acc[r][v], ep, i + r, j + 8 * v, n, rem(v))
+                            : acc[r][v], rem(v));
+    }
+}
+
+// Rows [i, i + rows) against one panel: R-row tiles (R * V = 8
+// accumulators), then single rows.
+template <int V>
+GRADCOMP_AVX2 void panel_rows(const float* a, std::int64_t a_row, std::int64_t a_k,
+                              const float* panel, std::int64_t kc, float* c, std::int64_t i,
+                              std::int64_t rows, std::int64_t j, std::int64_t n, std::int64_t w,
+                              bool first, bool last, const Epilogue& ep) {
+  constexpr int R = 8 / V;
+  std::int64_t r = 0;
+  for (; r + R <= rows; r += R)
+    panel_tile<R, V>(a + r * a_row, a_row, a_k, panel, kc, c, i + r, j, n, w, first, last, ep);
+  for (; r < rows; ++r)
+    panel_tile<1, V>(a + r * a_row, a_row, a_k, panel, kc, c, i + r, j, n, w, first, last, ep);
+}
+
+// A element (i, kk) is a[i * a_row + kk * a_k]: gemm_nn passes (k, 1), so
+// each tile row streams along k in place; gemm_tn passes (1, m), a strided
+// k-walk, and its A blocks are copied.
+GRADCOMP_AVX2 void gemm_packed_avx2(const float* a, std::int64_t a_row, std::int64_t a_k,
+                                    const float* b, float* c, std::int64_t i0, std::int64_t i1,
+                                    std::int64_t k, std::int64_t n, const Epilogue& ep) {
+  alignas(32) float pack_b[kPackFloats];
+  alignas(32) float pack_a[kBlockM * kBlockK];
+  const bool copy_a = a_k != 1;
+  // With A read in place, a narrow B takes deeper k blocks (up to the
+  // buffer), so each A row streams in longer runs.
+  const std::int64_t n_pad = std::max(kPanelCols, (n + kPanelCols - 1) / kPanelCols * kPanelCols);
+  const std::int64_t kc_max = std::min(
+      std::max<std::int64_t>(k, 1),
+      copy_a ? kBlockK : std::clamp(kPackFloats / n_pad, kBlockK, kPackFloats / kPanelCols));
+  const std::int64_t nc = kPackFloats / kc_max / kPanelCols * kPanelCols;
+  for (std::int64_t jc = 0; jc < n; jc += nc) {
+    const std::int64_t ncw = std::min(nc, n - jc);
+    std::int64_t k0 = 0;
+    do {  // once even when k == 0, so C is still written
+      const std::int64_t kc = std::min(kc_max, k - k0);
+      for (std::int64_t jp = 0; jp < ncw; jp += kPanelCols)
+        pack_panel(b + k0 * n + jc + jp, n, kc, std::min(kPanelCols, ncw - jp),
+                   pack_b + jp * kc);
+      const bool first = k0 == 0;
+      const bool last = k0 + kc >= k;
+      for (std::int64_t ic = i0; ic < i1; ic += kBlockM) {
+        const std::int64_t mc = std::min(kBlockM, i1 - ic);
+        const float* ablk = a + ic * a_row + k0 * a_k;
+        std::int64_t ak = a_k;
+        if (copy_a) {
+          for (std::int64_t kk = 0; kk < kc; ++kk)
+            std::memcpy(pack_a + kk * mc, ablk + kk * a_k,
+                        static_cast<std::size_t>(mc) * sizeof(float));
+          ablk = pack_a;
+          ak = mc;
+        }
+        // A deep block keeps each panel in L1 while all mc rows run against
+        // it. A shallow one does few FMAs per C element, so storing C
+        // dominates: row groups go outer and each C row of a group is
+        // stored as one sequential run across the block, not one 64-byte
+        // piece per panel, which keeps the stores prefetchable when C is
+        // not in cache.
+        const std::int64_t group = kc < kShallowK ? kRowGroup : mc;
+        for (std::int64_t r0 = 0; r0 < mc; r0 += group) {
+          const std::int64_t rows = std::min(group, mc - r0);
+          for (std::int64_t jp = 0; jp < ncw; jp += kPanelCols) {
+            const std::int64_t w = std::min(kPanelCols, ncw - jp);
+            if (w > 8)
+              panel_rows<2>(ablk + r0 * a_row, a_row, ak, pack_b + jp * kc, kc, c, ic + r0, rows,
+                            jc + jp, n, w, first, last, ep);
+            else
+              panel_rows<1>(ablk + r0 * a_row, a_row, ak, pack_b + jp * kc, kc, c, ic + r0, rows,
+                            jc + jp, n, w, first, last, ep);
+          }
+        }
+      }
+      k0 += kc;
+    } while (k0 < k);
   }
 }
 
 GRADCOMP_AVX2 void gemm_nn_avx2(const float* pa, const float* pb, float* pc, std::int64_t i0,
-                                std::int64_t i1, std::int64_t k, std::int64_t n) {
-  std::int64_t i = i0;
-  for (; i + 8 <= i1; i += 8) gemm_rows8_avx2(pa + i * k, 1, k, pb, pc, i, k, n);
-  for (; i < i1; ++i) gemm_row1_avx2(pa + i * k, 1, pb, pc + i * n, k, n);
+                                std::int64_t i1, std::int64_t k, std::int64_t n,
+                                const Epilogue& ep) {
+  gemm_packed_avx2(pa, k, 1, pb, pc, i0, i1, k, n, ep);
 }
 
 GRADCOMP_AVX2 void gemm_tn_avx2(const float* pa, const float* pb, float* pc, std::int64_t i0,
-                                std::int64_t i1, std::int64_t k, std::int64_t m,
-                                std::int64_t n) {
-  // A stored (k x m): element (kk, i) at pa[kk * m + i] — consecutive rows
-  // of C read consecutive floats, so a_rowstep = 1 and a_kstep = m.
-  std::int64_t i = i0;
-  for (; i + 8 <= i1; i += 8) gemm_rows8_avx2(pa + i, m, 1, pb, pc, i, k, n);
-  for (; i < i1; ++i) gemm_row1_avx2(pa + i, m, pb, pc + i * n, k, n);
+                                std::int64_t i1, std::int64_t k, std::int64_t m, std::int64_t n,
+                                const Epilogue& ep) {
+  gemm_packed_avx2(pa, 1, m, pb, pc, i0, i1, k, n, ep);
 }
 
-GRADCOMP_AVX2 void gemm_nt_avx2(const float* pa, const float* pb, float* pc, std::int64_t i0,
-                                std::int64_t i1, std::int64_t k, std::int64_t n) {
-  // C[i][j] = dot(A row i, B row j): 8 B rows share each loaded A vector.
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* arow = pa + i * k;
-    float* crow = pc + i * n;
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc[8];
-      for (int r = 0; r < 8; ++r) acc[r] = _mm256_setzero_ps();
-      std::int64_t kk = 0;
-      for (; kk + 8 <= k; kk += 8) {
-        const __m256 av = _mm256_loadu_ps(arow + kk);
-        for (int r = 0; r < 8; ++r)
-          acc[r] = _mm256_fmadd_ps(av, _mm256_loadu_ps(pb + (j + r) * k + kk), acc[r]);
-      }
-      float dots[8];
-      for (int r = 0; r < 8; ++r) dots[r] = hsum8(acc[r]);
-      for (; kk < k; ++kk)
-        for (int r = 0; r < 8; ++r) dots[r] += arow[kk] * pb[(j + r) * k + kk];
-      for (int r = 0; r < 8; ++r) crow[j + r] += dots[r];
-    }
-    for (; j < n; ++j) {
-      const float* brow = pb + j * k;
-      __m256 acc = _mm256_setzero_ps();
-      std::int64_t kk = 0;
-      for (; kk + 8 <= k; kk += 8)
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk), _mm256_loadu_ps(brow + kk), acc);
-      float dot = hsum8(acc);
-      for (; kk < k; ++kk) dot += arow[kk] * brow[kk];
-      crow[j] += dot;
-    }
+// hsum8 of eight accumulators at once: lane r of the result is
+// hsum8(acc[r]), added in the same tree order.
+GRADCOMP_AVX2 inline __m256 hsum8_x8(const __m256 (&acc)[8]) {
+  __m256 s[4];  // per 128-bit half: [v0+v4, v1+v5, v2+v6, v3+v7] of acc[2p], acc[2p+1]
+#pragma GCC unroll 4
+  for (std::int64_t p = 0; p < 4; ++p)
+    s[p] = _mm256_add_ps(_mm256_permute2f128_ps(acc[2 * p], acc[2 * p + 1], 0x20),
+                         _mm256_permute2f128_ps(acc[2 * p], acc[2 * p + 1], 0x31));
+  __m256 t[2];  // [t0, t1] = [s0+s2, s1+s3] of acc 0, 2 | 1, 3 (and 4, 6 | 5, 7)
+#pragma GCC unroll 2
+  for (std::int64_t q = 0; q < 2; ++q)
+    t[q] = _mm256_add_ps(_mm256_shuffle_ps(s[2 * q], s[2 * q + 1], _MM_SHUFFLE(1, 0, 1, 0)),
+                         _mm256_shuffle_ps(s[2 * q], s[2 * q + 1], _MM_SHUFFLE(3, 2, 3, 2)));
+  // t0 + t1 of acc [0, 2, 4, 6 | 1, 3, 5, 7], then back into acc order.
+  const __m256 r = _mm256_add_ps(_mm256_shuffle_ps(t[0], t[1], _MM_SHUFFLE(2, 0, 2, 0)),
+                                 _mm256_shuffle_ps(t[0], t[1], _MM_SHUFFLE(3, 1, 3, 1)));
+  return _mm256_permutevar8x32_ps(r, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+}
+
+// C[i][j, j + 8) from A row i and the eight B rows at j: one 8-lane
+// accumulator per element, reduced together, then the k tail as one FMA
+// chain per lane against `b_tail` (the tail of the eight B rows, [t][r]).
+GRADCOMP_AVX2 inline void nt_row8(const float* arow, const float* b, const float* b_tail,
+                                  float* c, std::int64_t i, std::int64_t j, std::int64_t k,
+                                  std::int64_t n, const Epilogue& ep) {
+  __m256 acc[8];
+#pragma GCC unroll 8
+  for (auto& v : acc) v = _mm256_setzero_ps();
+  const std::int64_t k8 = k - k % 8;
+  for (std::int64_t kk = 0; kk < k8; kk += 8) {
+    const __m256 av = _mm256_loadu_ps(arow + kk);
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r)
+      acc[r] = _mm256_fmadd_ps(av, _mm256_loadu_ps(b + (j + r) * k + kk), acc[r]);
   }
+  __m256 dot = hsum8_x8(acc);
+  for (std::int64_t t = 0; t < k - k8; ++t)
+    dot = _mm256_fmadd_ps(_mm256_set1_ps(arow[k8 + t]), _mm256_load_ps(b_tail + 8 * t), dot);
+  _mm256_storeu_ps(c + i * n + j,
+                   epilogue_avx2(_mm256_add_ps(_mm256_setzero_ps(), dot), ep, i, j, n, 8));
+}
+
+// One element: the same order, for the last n % 8 columns.
+GRADCOMP_AVX2 inline void nt_one(const float* arow, const float* brow, float* c, std::int64_t i,
+                                 std::int64_t j, std::int64_t k, std::int64_t n,
+                                 const Epilogue& ep) {
+  __m256 acc = _mm256_setzero_ps();
+  const std::int64_t k8 = k - k % 8;
+  for (std::int64_t kk = 0; kk < k8; kk += 8)
+    acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk), _mm256_loadu_ps(brow + kk), acc);
+  float dot = hsum8(acc);
+  for (std::int64_t kk = k8; kk < k; ++kk) dot = std::fma(arow[kk], brow[kk], dot);
+  c[i * n + j] = apply_epilogue(0.0F + dot, ep, i, j, n);
+}
+
+// B rows outer: a block of eight B rows stays in L1 while every A row of
+// the range streams past it, so B (the weight matrix of x * W^T) is read
+// once per call rather than once per A row.
+GRADCOMP_AVX2 void gemm_nt_avx2(const float* pa, const float* pb, float* pc, std::int64_t i0,
+                                std::int64_t i1, std::int64_t k, std::int64_t n,
+                                const Epilogue& ep) {
+  const std::int64_t k8 = k - k % 8;
+  alignas(32) float b_tail[7 * 8];
+  std::int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    for (std::int64_t t = 0; t < k - k8; ++t)
+      for (int r = 0; r < 8; ++r) b_tail[8 * t + r] = pb[(j + r) * k + k8 + t];
+    for (std::int64_t i = i0; i < i1; ++i) nt_row8(pa + i * k, pb, b_tail, pc, i, j, k, n, ep);
+  }
+  for (; j < n; ++j)
+    for (std::int64_t i = i0; i < i1; ++i) nt_one(pa + i * k, pb + j * k, pc, i, j, k, n, ep);
 }
 
 #undef GRADCOMP_AVX2
@@ -621,19 +794,24 @@ void terngrad_decode(const std::uint8_t* codes, std::int64_t n, float scale, flo
 }
 
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t i0, std::int64_t i1,
-             std::int64_t k, std::int64_t n) {
-  GRADCOMP_DISPATCH(gemm_nn_avx2(a, b, c, i0, i1, k, n), gemm_nn_scalar(a, b, c, i0, i1, k, n));
+             std::int64_t k, std::int64_t n, const Epilogue& ep) {
+  GRADCOMP_DISPATCH(
+      gemm_nn_avx2(a, b, c, i0, i1, k, n, ep),
+      gemm_scalar(c, i0, i1, n, ep, [&] { gemm_nn_scalar(a, b, c, i0, i1, k, n); }));
 }
 
 void gemm_tn(const float* a, const float* b, float* c, std::int64_t i0, std::int64_t i1,
-             std::int64_t k, std::int64_t m, std::int64_t n) {
-  GRADCOMP_DISPATCH(gemm_tn_avx2(a, b, c, i0, i1, k, m, n),
-                    gemm_tn_scalar(a, b, c, i0, i1, k, m, n));
+             std::int64_t k, std::int64_t m, std::int64_t n, const Epilogue& ep) {
+  GRADCOMP_DISPATCH(
+      gemm_tn_avx2(a, b, c, i0, i1, k, m, n, ep),
+      gemm_scalar(c, i0, i1, n, ep, [&] { gemm_tn_scalar(a, b, c, i0, i1, k, m, n); }));
 }
 
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t i0, std::int64_t i1,
-             std::int64_t k, std::int64_t n) {
-  GRADCOMP_DISPATCH(gemm_nt_avx2(a, b, c, i0, i1, k, n), gemm_nt_scalar(a, b, c, i0, i1, k, n));
+             std::int64_t k, std::int64_t n, const Epilogue& ep) {
+  GRADCOMP_DISPATCH(
+      gemm_nt_avx2(a, b, c, i0, i1, k, n, ep),
+      gemm_scalar(c, i0, i1, n, ep, [&] { gemm_nt_scalar(a, b, c, i0, i1, k, n); }));
 }
 
 #undef GRADCOMP_DISPATCH

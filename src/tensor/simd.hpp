@@ -19,9 +19,10 @@
 //     algorithm is deterministic: pack/unpack (including NaN, -0.0), FP16
 //     convert (NaN payloads canonicalized to match the software converter),
 //     threshold count/filter, and the dequantize loops produce identical
-//     bytes at either level. The GEMM kernels reassociate the inner
-//     reduction (FMA, 8-wide tiles), so they match scalar only to a small
-//     relative tolerance — documented at the kernel and pinned by
+//     bytes at either level. The AVX2 GEMM kernels are bit-exact to their
+//     documented FMA order instead, which reassociates the scalar kernels'
+//     reduction, so the two levels agree only to a small relative
+//     tolerance — documented at the kernels and pinned by
 //     tests/test_simd.cpp.
 //   * Raw vector intrinsics live ONLY in simd.cpp; gradcheck's
 //     `raw-intrinsic` token rule fails the build on any `_mm*`/`__m256`
@@ -109,19 +110,43 @@ void qsgd_decode(const std::uint8_t* codes, std::int64_t n, float norm, float le
 void terngrad_decode(const std::uint8_t* codes, std::int64_t n, float scale, float* out);
 
 // --- GEMM row kernels --------------------------------------------------------
-// C[i0:i1, :] += A(op) * B for row-major operands; each C row is a pure
-// function of the inputs, so row-partitioned callers stay deterministic at
-// any thread count. The AVX2 kernels use 8x8 register tiling with FMA and
-// therefore reassociate the k-reduction: results match the scalar kernels
-// to relative O(k * eps), not bit-for-bit (see tests/test_simd.cpp).
+// C[i0:i1, :] = A(op) * B for row-major operands, overwriting those rows of
+// C (its previous contents are never read), then the optional epilogue.
+// Each C row is a pure function of the inputs, so row-partitioned callers
+// stay deterministic at any thread count.
 //   gemm_nn: A is (m x k), B is (k x n)
 //   gemm_tn: A is (k x m) used transposed, B is (k x n)
 //   gemm_nt: A is (m x k), B is (n x k) used transposed
+//
+// The AVX2 kernels are bit-exact to a fixed per-element FMA order, whatever
+// the row range, tiling or thread count (tests/test_simd.cpp holds them to
+// scalar models of it):
+//   gemm_nn, gemm_tn: one sequential chain over k from +0,
+//       c = fma(a[i][k-1], b[k-1][j], ... fma(a[i][0], b[0][j], +0));
+//   gemm_nt: eight lane chains, lane l over kk = l (mod 8) of the 8-aligned
+//       prefix of k, combined as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), then
+//       one fma chain over the k tail, then +0 is added.
+// gemm_nn and gemm_tn pack B into 16-column panels on the stack; gemm_nt
+// blocks over B rows. The scalar kernels are the dispatch fallback and match
+// the AVX2 ones only to relative O(k * eps).
+
+// Applied to each C element after its last FMA, in this order:
+//   bias: c = c + bias[j]               (n floats)
+//   relu: c = max(c, 0)                 (as std::max(c, 0.0f): NaN and -0.0 pass)
+//   gate: c = gate[i*n + j] <= 0 ? +0 : c  (m x n, laid out like C; the ReLU
+//                                            derivative from stored activations)
+// `gate` must not alias C.
+struct Epilogue {
+  const float* bias = nullptr;
+  bool relu = false;
+  const float* gate = nullptr;
+};
+
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t i0, std::int64_t i1,
-             std::int64_t k, std::int64_t n);
+             std::int64_t k, std::int64_t n, const Epilogue& ep = {});
 void gemm_tn(const float* a, const float* b, float* c, std::int64_t i0, std::int64_t i1,
-             std::int64_t k, std::int64_t m, std::int64_t n);
+             std::int64_t k, std::int64_t m, std::int64_t n, const Epilogue& ep = {});
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t i0, std::int64_t i1,
-             std::int64_t k, std::int64_t n);
+             std::int64_t k, std::int64_t n, const Epilogue& ep = {});
 
 }  // namespace gradcomp::tensor::simd

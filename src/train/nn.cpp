@@ -26,27 +26,15 @@ Mlp::Mlp(std::vector<std::int64_t> dims, std::uint64_t seed) : dims_(std::move(d
 
 namespace {
 
-tensor::Tensor linear_forward(const LinearLayer& layer, const tensor::Tensor& x) {
-  tensor::Tensor y = tensor::matmul(x, layer.w, tensor::Transpose::kNo, tensor::Transpose::kYes);
-  const std::int64_t batch = y.dim(0);
-  const std::int64_t out = y.dim(1);
-  auto py = y.data();
-  auto pb = layer.b.data();
-  for (std::int64_t i = 0; i < batch; ++i)
-    for (std::int64_t j = 0; j < out; ++j)
-      py[static_cast<std::size_t>(i * out + j)] += pb[static_cast<std::size_t>(j)];
-  return y;
+// y = x W^T + b, then ReLU when `relu`; bias and ReLU run in the GEMM's
+// epilogue.
+void linear_forward(const LinearLayer& layer, const tensor::Tensor& x, bool relu,
+                    tensor::Tensor& y) {
+  tensor::matmul_into(x, layer.w, tensor::Transpose::kNo, tensor::Transpose::kYes, y,
+                      {layer.b.data().data(), relu, nullptr});
 }
 
-void relu_inplace(tensor::Tensor& t) {
-  for (auto& v : t.data()) v = std::max(v, 0.0F);
-}
-
-}  // namespace
-
-tensor::Tensor softmax_rows(const tensor::Tensor& logits) {
-  if (logits.ndim() != 2) throw std::invalid_argument("softmax_rows: logits must be 2-D");
-  tensor::Tensor probs = logits;
+void softmax_rows_inplace(tensor::Tensor& probs) {
   const std::int64_t rows = probs.dim(0);
   const std::int64_t cols = probs.dim(1);
   auto p = probs.data();
@@ -61,16 +49,26 @@ tensor::Tensor softmax_rows(const tensor::Tensor& logits) {
     const auto inv = static_cast<float>(1.0 / sum);
     for (std::int64_t j = 0; j < cols; ++j) row[j] *= inv;
   }
+}
+
+}  // namespace
+
+tensor::Tensor softmax_rows(const tensor::Tensor& logits) {
+  if (logits.ndim() != 2) throw std::invalid_argument("softmax_rows: logits must be 2-D");
+  tensor::Tensor probs = logits;
+  softmax_rows_inplace(probs);
   return probs;
 }
 
 tensor::Tensor Mlp::forward(const tensor::Tensor& x) const {
   if (x.ndim() != 2 || x.dim(1) != input_dim())
     throw std::invalid_argument("Mlp::forward: bad input shape");
-  tensor::Tensor h = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = linear_forward(layers_[i], h);
-    if (i + 1 < layers_.size()) relu_inplace(h);
+  tensor::Tensor h;
+  linear_forward(layers_.front(), x, layers_.size() > 1, h);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    tensor::Tensor next;
+    linear_forward(layers_[i], h, i + 1 < layers_.size(), next);
+    h = std::move(next);
   }
   return h;
 }
@@ -80,52 +78,51 @@ double Mlp::compute_gradients(const tensor::Tensor& x, const std::vector<int>& l
   if (static_cast<std::int64_t>(labels.size()) != batch)
     throw std::invalid_argument("Mlp::compute_gradients: label count mismatch");
 
-  // Forward, caching post-activation inputs of every layer.
-  std::vector<tensor::Tensor> inputs;  // inputs[i] feeds layers_[i]
-  inputs.reserve(layers_.size());
-  tensor::Tensor h = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    inputs.push_back(h);
-    h = linear_forward(layers_[i], h);
-    if (i + 1 < layers_.size()) relu_inplace(h);
-  }
+  // Forward; acts_[i] feeds layers_[i + 1].
+  const std::size_t depth = layers_.size();
+  acts_.resize(depth);
+  deltas_.resize(depth);
+  const auto input_of = [&](std::size_t i) -> const tensor::Tensor& {
+    return i == 0 ? x : acts_[i - 1];
+  };
+  for (std::size_t i = 0; i < depth; ++i)
+    linear_forward(layers_[i], input_of(i), i + 1 < depth, acts_[i]);
 
   // Softmax cross-entropy loss and dL/dlogits = (probs - onehot) / batch.
-  tensor::Tensor probs = softmax_rows(h);
-  const std::int64_t classes = probs.dim(1);
+  tensor::Tensor& delta = deltas_.back();
+  delta = acts_.back();
+  softmax_rows_inplace(delta);
+  const std::int64_t classes = delta.dim(1);
   double loss_sum = 0.0;
-  tensor::Tensor delta = probs;
   auto pd = delta.data();
   for (std::int64_t i = 0; i < batch; ++i) {
     const int y = labels[static_cast<std::size_t>(i)];
     if (y < 0 || y >= classes)
       throw std::invalid_argument("Mlp::compute_gradients: label out of range");
-    const float p = probs.at(i, y);
+    const float p = delta.at(i, y);
     loss_sum += -std::log(std::max(p, 1e-12F));
     pd[static_cast<std::size_t>(i * classes + y)] -= 1.0F;
   }
   delta.scale(1.0F / static_cast<float>(batch));
 
   // Backward through the stack.
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  for (std::size_t i = depth; i-- > 0;) {
     LinearLayer& layer = layers_[i];
+    const tensor::Tensor& d = deltas_[i];
     // dW = delta^T * input, db = column sums of delta.
-    layer.grad_w = tensor::matmul(delta, inputs[i], tensor::Transpose::kYes);
+    tensor::matmul_into(d, input_of(i), tensor::Transpose::kYes, tensor::Transpose::kNo,
+                        layer.grad_w);
     layer.grad_b.fill(0.0F);
-    const std::int64_t out = delta.dim(1);
+    const std::int64_t out = d.dim(1);
     auto gb = layer.grad_b.data();
-    auto dp = delta.data();
-    for (std::int64_t r = 0; r < delta.dim(0); ++r)
+    auto dp = d.data();
+    for (std::int64_t r = 0; r < d.dim(0); ++r)
       for (std::int64_t c = 0; c < out; ++c)
         gb[static_cast<std::size_t>(c)] += dp[static_cast<std::size_t>(r * out + c)];
     if (i == 0) break;
-    // dInput = delta * W, gated by the previous ReLU.
-    tensor::Tensor dinput = tensor::matmul(delta, layer.w);
-    auto di = dinput.data();
-    auto act = inputs[i].data();  // post-ReLU activations feeding this layer
-    for (std::size_t j = 0; j < di.size(); ++j)
-      if (act[j] <= 0.0F) di[j] = 0.0F;
-    delta = std::move(dinput);
+    // dInput = delta * W, gated by the ReLU that produced this layer's input.
+    tensor::matmul_into(d, layer.w, tensor::Transpose::kNo, tensor::Transpose::kNo,
+                        deltas_[i - 1], {nullptr, false, input_of(i).data().data()});
   }
   return loss_sum / static_cast<double>(batch);
 }

@@ -34,7 +34,10 @@ class Mlp {
   [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& x) const;
 
   // Forward + backward on a labeled batch. Fills every layer's gradients
-  // (overwriting previous contents) and returns the mean cross-entropy loss.
+  // (overwriting previous contents, in their existing storage) and returns
+  // the mean cross-entropy loss. Activations and deltas live in a per-model
+  // workspace, so once a batch size has been seen the call makes no heap
+  // allocation when the global pool runs it inline.
   double compute_gradients(const tensor::Tensor& x, const std::vector<int>& labels);
 
   // Mean cross-entropy of the model on a labeled set (no gradients).
@@ -51,6 +54,11 @@ class Mlp {
  private:
   std::vector<std::int64_t> dims_;
   std::vector<LinearLayer> layers_;
+  // compute_gradients scratch, {batch, out} per layer: acts_[i] is layer
+  // i's output (post-ReLU; logits for the last), deltas_[i] the loss
+  // gradient with respect to its pre-activation output.
+  std::vector<tensor::Tensor> acts_;
+  std::vector<tensor::Tensor> deltas_;
 };
 
 // Row-wise softmax of logits (numerically stabilized); exposed for tests.

@@ -35,10 +35,11 @@ DataParallelTrainer::DataParallelTrainer(TrainerConfig config, Dataset dataset)
   models_.reserve(static_cast<std::size_t>(config_.world_size));
   compressors_.reserve(static_cast<std::size_t>(config_.world_size));
   optimizers_.reserve(static_cast<std::size_t>(config_.world_size));
+  // Replicas start identical: rank 0's model is built once and copied.
+  models_.emplace_back(config_.layer_dims, config_.seed);
   for (int r = 0; r < config_.world_size; ++r) {
     shards_.push_back(shard(dataset_, r, config_.world_size));
-    // Same seed everywhere: replicas start identical.
-    models_.emplace_back(config_.layer_dims, config_.seed);
+    if (r > 0) models_.push_back(models_.front());
     compressors_.push_back(compress::make_compressor(active_compression_));
     optimizers_.emplace_back(config_.optimizer);
   }

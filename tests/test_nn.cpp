@@ -2,16 +2,70 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <stdexcept>
 
+#include "core/parallel.hpp"
 #include "tensor/rng.hpp"
+
+// Every heap allocation in this binary passes through here, so a test can
+// count the ones a call makes. Kept out of line: inlined into callers, GCC
+// mistakes the malloc/free pair for a new/free mismatch.
+namespace {
+std::atomic<std::int64_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 
 namespace gradcomp::train {
 namespace {
 
 using tensor::Rng;
 using tensor::Tensor;
+
+// Sets the global pool size for one test and restores the default after.
+class ScopedPool {
+ public:
+  explicit ScopedPool(int threads) { core::set_global_pool_threads(threads); }
+  ~ScopedPool() { core::set_global_pool_threads(0); }
+  ScopedPool(const ScopedPool&) = delete;
+  ScopedPool& operator=(const ScopedPool&) = delete;
+};
+
+std::vector<int> labels_for(std::int64_t batch, int classes, Rng& rng) {
+  std::vector<int> y(static_cast<std::size_t>(batch));
+  for (auto& v : y) v = static_cast<int>(rng.next_u64() % static_cast<std::uint64_t>(classes));
+  return y;
+}
+
+// True when the loss and every gradient of `a` and `b` are the same bits.
+::testing::AssertionResult same_gradients(double loss_a, const Mlp& a, double loss_b,
+                                          const Mlp& b) {
+  if (std::memcmp(&loss_a, &loss_b, sizeof(double)) != 0)
+    return ::testing::AssertionFailure() << "loss " << loss_a << " vs " << loss_b;
+  for (std::size_t i = 0; i < a.num_layers(); ++i) {
+    const LinearLayer& la = a.layers()[i];
+    const LinearLayer& lb = b.layers()[i];
+    if (la.grad_w.shape() != lb.grad_w.shape() ||
+        std::memcmp(la.grad_w.data().data(), lb.grad_w.data().data(), la.grad_w.byte_size()) !=
+            0)
+      return ::testing::AssertionFailure() << "grad_w of layer " << i;
+    if (std::memcmp(la.grad_b.data().data(), lb.grad_b.data().data(), la.grad_b.byte_size()) !=
+        0)
+      return ::testing::AssertionFailure() << "grad_b of layer " << i;
+  }
+  return ::testing::AssertionSuccess();
+}
 
 TEST(Mlp, RejectsDegenerateDims) {
   EXPECT_THROW(Mlp({4}, 1), std::invalid_argument);
@@ -139,6 +193,61 @@ TEST(Mlp, AccuracyOnTriviallySeparableData) {
     }
   }
   EXPECT_EQ(net.accuracy(x, y), 1.0);
+}
+
+TEST(Mlp, SecondBatchMatchesFreshModel) {
+  // The workspace a first batch leaves behind (same or other batch size)
+  // must not leak into the next call's bits.
+  const std::vector<std::int64_t> dims = {24, 40, 40, 6};
+  Rng rng(21);
+  for (const std::int64_t first_batch : {std::int64_t{11}, std::int64_t{7}}) {
+    const Tensor x1 = Tensor::randn({first_batch, 24}, rng);
+    const Tensor x2 = Tensor::randn({11, 24}, rng);
+    const auto y1 = labels_for(first_batch, 6, rng);
+    const auto y2 = labels_for(11, 6, rng);
+    Mlp warm(dims, 3);
+    warm.compute_gradients(x1, y1);
+    Mlp fresh(dims, 3);
+    const double loss_warm = warm.compute_gradients(x2, y2);
+    const double loss_fresh = fresh.compute_gradients(x2, y2);
+    EXPECT_TRUE(same_gradients(loss_warm, warm, loss_fresh, fresh))
+        << "first batch " << first_batch;
+  }
+}
+
+TEST(Mlp, GradientsIndependentOfPoolSize) {
+  // Large enough that a 4-thread pool splits every GEMM into row chunks.
+  const std::vector<std::int64_t> dims = {128, 256, 256, 10};
+  Rng rng(22);
+  const Tensor x = Tensor::randn({256, 128}, rng);
+  const auto y = labels_for(256, 10, rng);
+  Mlp one(dims, 4);
+  Mlp four(dims, 4);
+  double loss_one = 0.0;
+  double loss_four = 0.0;
+  {
+    const ScopedPool pool(1);
+    loss_one = one.compute_gradients(x, y);
+  }
+  {
+    const ScopedPool pool(4);
+    loss_four = four.compute_gradients(x, y);
+  }
+  EXPECT_TRUE(same_gradients(loss_one, one, loss_four, four));
+}
+
+TEST(Mlp, WarmComputeGradientsDoesNotAllocate) {
+  // With the pool running GEMMs inline, a steady-state step reuses the
+  // workspace and the gradient storage.
+  const ScopedPool pool(1);
+  Mlp net({64, 128, 128, 8}, 5);
+  Rng rng(23);
+  const Tensor x = Tensor::randn({32, 64}, rng);
+  const auto y = labels_for(32, 8, rng);
+  net.compute_gradients(x, y);
+  const std::int64_t before = g_allocations.load();
+  net.compute_gradients(x, y);
+  EXPECT_EQ(g_allocations.load() - before, 0);
 }
 
 TEST(Mlp, CrossEntropyOfUniformIsLogClasses) {

@@ -3,14 +3,16 @@
 // Every bit-level kernel must produce identical bytes at either dispatch
 // level across unaligned pointers, every tail length (n mod 8, and n mod 32
 // for the sign-word kernels), and hostile inputs (NaN, +/-0, denormals,
-// infinities). The GEMM kernels reassociate the k-reduction, so they are
-// compared to a relative tolerance instead. On hosts without AVX2 the
+// infinities). The AVX2 GEMM kernels are held bit-exact to a scalar model
+// of their FMA order instead, and to a relative tolerance against the
+// scalar kernels, whose summation order differs. On hosts without AVX2 the
 // cross-level tests skip; the scalar path is still exercised against the
 // element-wise reference converters.
 #include "tensor/simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -283,74 +285,169 @@ TEST(SimdDequantize, TernGradDecodeBitExact) {
   }
 }
 
-// GEMM: relative tolerance O(k * eps) — FMA tiles reassociate the sum.
-void expect_gemm_close(const std::vector<float>& a, const std::vector<float>& b,
-                       std::int64_t k, const char* what) {
-  ASSERT_EQ(a.size(), b.size());
-  const double tol = 1e-6 * static_cast<double>(k);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double denom = std::max(1.0, std::abs(static_cast<double>(a[i])));
-    EXPECT_NEAR(a[i], b[i], tol * denom) << what << " i=" << i;
+// --- GEMM -------------------------------------------------------------------
+
+enum class Op { kNn, kTn, kNt };
+
+const char* op_name(Op op) { return op == Op::kNn ? "nn" : op == Op::kTn ? "tn" : "nt"; }
+
+// Operands of C = A(op) * B(op) (m x n) in each kernel's storage: A is
+// m x k (k x m for TN), B is k x n (n x k for NT).
+struct GemmCase {
+  Op op;
+  std::int64_t m, k, n;
+  std::vector<float> a, b;
+};
+
+GemmCase make_case(Op op, std::int64_t m, std::int64_t k, std::int64_t n, Rng& rng) {
+  GemmCase g{op, m, k, n, std::vector<float>(static_cast<std::size_t>(m * k)),
+             std::vector<float>(static_cast<std::size_t>(k * n))};
+  for (auto& x : g.a) x = static_cast<float>(rng.next_double() * 2.0 - 1.0);
+  for (auto& x : g.b) x = static_cast<float>(rng.next_double() * 2.0 - 1.0);
+  return g;
+}
+
+void run_gemm(const GemmCase& g, float* c, std::int64_t i0, std::int64_t i1,
+              const Epilogue& ep = {}) {
+  switch (g.op) {
+    case Op::kNn: gemm_nn(g.a.data(), g.b.data(), c, i0, i1, g.k, g.n, ep); break;
+    case Op::kTn: gemm_tn(g.a.data(), g.b.data(), c, i0, i1, g.k, g.m, g.n, ep); break;
+    case Op::kNt: gemm_nt(g.a.data(), g.b.data(), c, i0, i1, g.k, g.n, ep); break;
+  }
+}
+
+// Scalar model of the AVX2 kernels' per-element order (simd.hpp): NN and TN
+// are one fma chain over k from +0; NT is eight lane chains over the
+// 8-aligned prefix, the hsum8 tree, an fma chain over the k tail, then +0.
+float fma_order_model(const GemmCase& g, std::int64_t i, std::int64_t j) {
+  const auto a = [&](std::int64_t kk) {
+    return g.a[static_cast<std::size_t>(g.op == Op::kTn ? kk * g.m + i : i * g.k + kk)];
+  };
+  const auto b = [&](std::int64_t kk) {
+    return g.b[static_cast<std::size_t>(g.op == Op::kNt ? j * g.k + kk : kk * g.n + j)];
+  };
+  if (g.op != Op::kNt) {
+    float c = 0.0F;
+    for (std::int64_t kk = 0; kk < g.k; ++kk) c = std::fma(a(kk), b(kk), c);
+    return c;
+  }
+  float lane[8] = {};
+  const std::int64_t k8 = g.k - g.k % 8;
+  for (std::int64_t kk = 0; kk < k8; ++kk) lane[kk % 8] = std::fma(a(kk), b(kk), lane[kk % 8]);
+  float dot = ((lane[0] + lane[4]) + (lane[2] + lane[6])) + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+  for (std::int64_t kk = k8; kk < g.k; ++kk) dot = std::fma(a(kk), b(kk), dot);
+  return 0.0F + dot;
+}
+
+float epilogue_model(float c, const Epilogue& ep, std::int64_t i, std::int64_t j,
+                     std::int64_t n) {
+  if (ep.bias != nullptr) c = c + ep.bias[j];
+  if (ep.relu) c = std::max(c, 0.0F);
+  if (ep.gate != nullptr && ep.gate[i * n + j] <= 0.0F) c = 0.0F;
+  return c;
+}
+
+bool same_bits(float x, float y) { return std::memcmp(&x, &y, sizeof(float)) == 0; }
+
+// The MLP's three shapes (forward x * W^T, dInput d * W, gradW d^T * x, at
+// batch 32 and width 1024), then row, j and k tails, k = 0, k < 8, and
+// blocks split in k and in n.
+struct Shape {
+  Op op;
+  std::int64_t m, k, n;
+};
+const Shape kExactShapes[] = {
+    {Op::kNt, 32, 1024, 1024}, {Op::kNn, 32, 1024, 1024}, {Op::kTn, 1024, 32, 1024},
+    {Op::kNt, 32, 256, 1024},  {Op::kNt, 32, 1024, 16},   {Op::kNn, 32, 16, 1024},
+    {Op::kTn, 16, 32, 1024},   {Op::kTn, 1024, 32, 256},
+};
+const std::int64_t kTailShapes[][3] = {{17, 5, 9},  {23, 31, 41}, {1, 1, 1},   {9, 300, 33},
+                                       {13, 7, 4},  {40, 600, 20}, {3, 0, 5},  {70, 9, 17},
+                                       {5, 1100, 12}};
+
+TEST(SimdGemm, Avx2BitExactToFmaOrderModel) {
+  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
+  ScopedLevel forced(Level::kAvx2);
+  Rng rng(8);
+  std::vector<Shape> shapes(std::begin(kExactShapes), std::end(kExactShapes));
+  for (const auto& t : kTailShapes)
+    for (const Op op : {Op::kNn, Op::kTn, Op::kNt}) shapes.push_back({op, t[0], t[1], t[2]});
+  for (const Shape& s : shapes) {
+    const GemmCase g = make_case(s.op, s.m, s.k, s.n, rng);
+    // Two row ranges split off the 8-row grid, as pool chunks are; C starts
+    // as garbage because the kernels overwrite it.
+    std::vector<float> c(static_cast<std::size_t>(s.m * s.n),
+                         std::numeric_limits<float>::quiet_NaN());
+    const std::int64_t split = s.m / 3;
+    run_gemm(g, c.data(), 0, split);
+    run_gemm(g, c.data(), split, s.m);
+    std::int64_t wrong = 0;
+    for (std::int64_t i = 0; i < s.m; ++i)
+      for (std::int64_t j = 0; j < s.n; ++j)
+        if (!same_bits(c[static_cast<std::size_t>(i * s.n + j)], fma_order_model(g, i, j)))
+          ++wrong;
+    EXPECT_EQ(wrong, 0) << op_name(s.op) << " " << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+TEST(SimdGemm, EpilogueMatchesElementwiseModelAtBothLevels) {
+  // Bias, ReLU and the ReLU gate, with NaN and -0.0 in every input that the
+  // epilogue reads, against the model applied element by element.
+  Rng rng(12);
+  for (const auto& t : kTailShapes) {
+    for (const Op op : {Op::kNn, Op::kTn, Op::kNt}) {
+      const GemmCase g = make_case(op, t[0], t[1], t[2], rng);
+      const std::size_t mn = static_cast<std::size_t>(g.m * g.n);
+      std::vector<float> bias = hostile_input(g.n, 3);
+      std::vector<float> gate = hostile_input(g.m * g.n, 4);
+      for (const Epilogue ep : {Epilogue{bias.data(), true, nullptr},
+                                Epilogue{nullptr, false, gate.data()},
+                                Epilogue{bias.data(), false, gate.data()}}) {
+        for (Level level : {Level::kScalar, Level::kAvx2}) {
+          if (level == Level::kAvx2 && !avx2_available()) continue;
+          ScopedLevel forced(level);
+          std::vector<float> plain(mn);
+          std::vector<float> fused(mn, 7.0F);
+          run_gemm(g, plain.data(), 0, g.m);
+          run_gemm(g, fused.data(), 0, g.m, ep);
+          std::int64_t wrong = 0;
+          for (std::int64_t i = 0; i < g.m; ++i)
+            for (std::int64_t j = 0; j < g.n; ++j) {
+              const auto at = static_cast<std::size_t>(i * g.n + j);
+              if (!same_bits(fused[at], epilogue_model(plain[at], ep, i, j, g.n))) ++wrong;
+            }
+          EXPECT_EQ(wrong, 0) << level_name(level) << " " << op_name(op) << " " << g.m << "x"
+                              << g.k << "x" << g.n << " relu=" << ep.relu;
+        }
+      }
+    }
   }
 }
 
 TEST(SimdGemm, AllVariantsMatchScalarWithinTolerance) {
+  // The scalar kernels keep their own summation order, so the two levels
+  // agree to relative O(k * eps).
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
   Rng rng(8);
-  // Shapes hit full 8x8 tiles, row remainders, and j/k tails.
-  struct Shape {
-    std::int64_t m, k, n;
-  };
-  for (const Shape s : {Shape{8, 8, 8}, Shape{17, 5, 9}, Shape{64, 64, 64}, Shape{3, 100, 7},
-                        Shape{23, 31, 41}, Shape{1, 1, 1}}) {
-    std::vector<float> a(static_cast<std::size_t>(s.m * s.k));
-    std::vector<float> b(static_cast<std::size_t>(s.k * s.n));
-    std::vector<float> bt(static_cast<std::size_t>(s.n * s.k));
-    std::vector<float> at(static_cast<std::size_t>(s.k * s.m));
-    for (auto& x : a) x = static_cast<float>(rng.next_double() * 2.0 - 1.0);
-    for (auto& x : b) x = static_cast<float>(rng.next_double() * 2.0 - 1.0);
-    for (std::int64_t i = 0; i < s.n; ++i)
-      for (std::int64_t j = 0; j < s.k; ++j)
-        bt[static_cast<std::size_t>(i * s.k + j)] = b[static_cast<std::size_t>(j * s.n + i)];
-    for (std::int64_t i = 0; i < s.k; ++i)
-      for (std::int64_t j = 0; j < s.m; ++j)
-        at[static_cast<std::size_t>(i * s.m + j)] = a[static_cast<std::size_t>(j * s.k + i)];
-
-    std::vector<float> c_scalar(static_cast<std::size_t>(s.m * s.n), 0.5F);
-    std::vector<float> c_simd = c_scalar;  // non-zero C: kernels accumulate
-    {
-      ScopedLevel forced(Level::kScalar);
-      gemm_nn(a.data(), b.data(), c_scalar.data(), 0, s.m, s.k, s.n);
+  for (const auto& t : kTailShapes) {
+    for (const Op op : {Op::kNn, Op::kTn, Op::kNt}) {
+      const GemmCase g = make_case(op, t[0], t[1], t[2], rng);
+      std::vector<float> c_scalar(static_cast<std::size_t>(g.m * g.n), 0.5F);
+      std::vector<float> c_simd(c_scalar.size(), -0.5F);
+      {
+        ScopedLevel forced(Level::kScalar);
+        run_gemm(g, c_scalar.data(), 0, g.m);
+      }
+      {
+        ScopedLevel forced(Level::kAvx2);
+        run_gemm(g, c_simd.data(), 0, g.m);
+      }
+      const double tol = 1e-6 * static_cast<double>(std::max<std::int64_t>(g.k, 1));
+      for (std::size_t i = 0; i < c_scalar.size(); ++i) {
+        const double denom = std::max(1.0, std::abs(static_cast<double>(c_scalar[i])));
+        EXPECT_NEAR(c_scalar[i], c_simd[i], tol * denom) << op_name(op) << " i=" << i;
+      }
     }
-    {
-      ScopedLevel forced(Level::kAvx2);
-      gemm_nn(a.data(), b.data(), c_simd.data(), 0, s.m, s.k, s.n);
-    }
-    expect_gemm_close(c_scalar, c_simd, s.k, "nn");
-
-    std::fill(c_scalar.begin(), c_scalar.end(), 0.0F);
-    std::fill(c_simd.begin(), c_simd.end(), 0.0F);
-    {
-      ScopedLevel forced(Level::kScalar);
-      gemm_tn(at.data(), b.data(), c_scalar.data(), 0, s.m, s.k, s.m, s.n);
-    }
-    {
-      ScopedLevel forced(Level::kAvx2);
-      gemm_tn(at.data(), b.data(), c_simd.data(), 0, s.m, s.k, s.m, s.n);
-    }
-    expect_gemm_close(c_scalar, c_simd, s.k, "tn");
-
-    std::fill(c_scalar.begin(), c_scalar.end(), 0.0F);
-    std::fill(c_simd.begin(), c_simd.end(), 0.0F);
-    {
-      ScopedLevel forced(Level::kScalar);
-      gemm_nt(a.data(), bt.data(), c_scalar.data(), 0, s.m, s.k, s.n);
-    }
-    {
-      ScopedLevel forced(Level::kAvx2);
-      gemm_nt(a.data(), bt.data(), c_simd.data(), 0, s.m, s.k, s.n);
-    }
-    expect_gemm_close(c_scalar, c_simd, s.k, "nt");
   }
 }
 
@@ -358,26 +455,24 @@ TEST(SimdGemm, PartialRowRangeTouchesOnlyItsRows) {
   // Row-partitioned callers hand each chunk [i0, i1); rows outside must not
   // be written at either level.
   Rng rng(9);
-  const std::int64_t m = 20;
-  const std::int64_t k = 13;
-  const std::int64_t n = 11;
-  std::vector<float> a(static_cast<std::size_t>(m * k));
-  std::vector<float> b(static_cast<std::size_t>(k * n));
-  for (auto& x : a) x = static_cast<float>(rng.next_double() * 2.0 - 1.0);
-  for (auto& x : b) x = static_cast<float>(rng.next_double() * 2.0 - 1.0);
-  for (Level level : {Level::kScalar, Level::kAvx2}) {
-    if (level == Level::kAvx2 && !avx2_available()) continue;
-    ScopedLevel forced(level);
-    std::vector<float> c(static_cast<std::size_t>(m * n), 7.0F);
-    gemm_nn(a.data(), b.data(), c.data(), 4, 12, k, n);
-    for (std::int64_t i = 0; i < m; ++i) {
-      const bool inside = i >= 4 && i < 12;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float v = c[static_cast<std::size_t>(i * n + j)];
-        if (!inside)
-          EXPECT_EQ(v, 7.0F) << level_name(level) << " row " << i << " written outside range";
-        else
-          EXPECT_NE(v, 7.0F) << level_name(level) << " row " << i << " not updated";
+  for (const Op op : {Op::kNn, Op::kTn, Op::kNt}) {
+    const GemmCase g = make_case(op, 20, 13, 11, rng);
+    for (Level level : {Level::kScalar, Level::kAvx2}) {
+      if (level == Level::kAvx2 && !avx2_available()) continue;
+      ScopedLevel forced(level);
+      std::vector<float> c(static_cast<std::size_t>(g.m * g.n), 7.0F);
+      run_gemm(g, c.data(), 4, 12);
+      for (std::int64_t i = 0; i < g.m; ++i) {
+        const bool inside = i >= 4 && i < 12;
+        for (std::int64_t j = 0; j < g.n; ++j) {
+          const float v = c[static_cast<std::size_t>(i * g.n + j)];
+          if (!inside)
+            EXPECT_EQ(v, 7.0F) << level_name(level) << " " << op_name(op) << " row " << i
+                               << " written outside range";
+          else
+            EXPECT_NE(v, 7.0F) << level_name(level) << " " << op_name(op) << " row " << i
+                               << " not updated";
+        }
       }
     }
   }

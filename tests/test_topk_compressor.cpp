@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 
+#include "compress/state_io.hpp"
 #include "compressor_harness.hpp"
 #include "tensor/rng.hpp"
 
@@ -57,19 +59,19 @@ TEST(TopKCompressor, SerializeDeserializeRoundTrip) {
   sparse.indices = {2, 5, 9};
   sparse.values = {1.5F, -2.0F, 0.25F};
   const auto bytes = TopKCompressor::serialize(sparse);
-  const auto back = TopKCompressor::deserialize(bytes);
+  const auto back = TopKCompressor::deserialize(bytes, 10);
   EXPECT_EQ(back.indices, sparse.indices);
   EXPECT_EQ(back.values, sparse.values);
 }
 
 TEST(TopKCompressor, DeserializeRejectsCorruptPayload) {
-  EXPECT_THROW(TopKCompressor::deserialize(std::vector<std::byte>(3)), std::invalid_argument);
+  EXPECT_THROW(TopKCompressor::deserialize(std::vector<std::byte>(3), 2), std::invalid_argument);
   tensor::TopKResult sparse;
   sparse.indices = {1};
   sparse.values = {1.0F};
   auto bytes = TopKCompressor::serialize(sparse);
   bytes.pop_back();
-  EXPECT_THROW(TopKCompressor::deserialize(bytes), std::invalid_argument);
+  EXPECT_THROW(TopKCompressor::deserialize(bytes, 2), std::invalid_argument);
 }
 
 TEST(TopKCompressor, RoundtripKeepsOnlyTopFraction) {
@@ -147,6 +149,36 @@ TEST(EfTopK, ResidualEventuallyTransmitsDroppedCoordinates) {
   EXPECT_NEAR(sum.at(1), 0.4F, 0.1F);
 }
 
+TEST(EfTopK, InPlaceResidualMatchesSubtractiveReference) {
+  // The residual is updated in place; it must keep the bits of the
+  // subtractive definition, residual = (grad + residual) - decode(sent),
+  // in both value formats, including a -0.0 gradient on the first step.
+  for (const bool fp16 : {false, true}) {
+    TopKCompressor c(0.1, /*error_feedback=*/true, fp16);
+    Rng rng(17);
+    Tensor residual;
+    for (int step = 0; step < 4; ++step) {
+      Tensor g = Tensor::randn({97}, rng);
+      if (step == 0) g.at(5) = -0.0F;
+      const Tensor work = step == 0 ? g : tensor::add(g, residual);
+      const auto sparse = tensor::top_k_abs(work.data(), c.k_for(97));
+      const auto sent = fp16 ? TopKCompressor::deserialize_half(
+                                   TopKCompressor::serialize_half(sparse), 97)
+                             : sparse;
+      Tensor kept({97});
+      tensor::scatter(sent, kept.data());
+      residual = tensor::sub(work, kept);
+
+      const Tensor back = c.roundtrip(3, g);
+      ASSERT_EQ(std::memcmp(back.data().data(), kept.data().data(), back.byte_size()), 0)
+          << "fp16=" << fp16 << " step " << step;
+      tensor::ByteWriter want;
+      detail::write_tensor_map(want, {{3, residual}});
+      EXPECT_EQ(c.serialize_state(), want.take()) << "fp16=" << fp16 << " step " << step;
+    }
+  }
+}
+
 TEST(EfTopK, WithoutEfSmallCoordinateNeverSent) {
   auto c = make_compressor(topk_config(0.5, false));
   const Tensor g({2}, {1.0F, 0.4F});
@@ -177,7 +209,7 @@ TEST(TopKFp16, HalfSerializationRoundTrip) {
   tensor::TopKResult sparse;
   sparse.indices = {1, 4, 7};
   sparse.values = {0.5F, -2.0F, 1024.0F};  // exactly representable halves
-  const auto back = TopKCompressor::deserialize_half(TopKCompressor::serialize_half(sparse));
+  const auto back = TopKCompressor::deserialize_half(TopKCompressor::serialize_half(sparse), 8);
   EXPECT_EQ(back.indices, sparse.indices);
   EXPECT_EQ(back.values, sparse.values);
 }

@@ -45,11 +45,11 @@ TEST_P(SizeSweep, TopKSerializationRoundTrip) {
   const auto v = values();
   if (v.empty()) {
     const auto payload = TopKCompressor::serialize({});
-    EXPECT_TRUE(TopKCompressor::deserialize(payload).indices.empty());
+    EXPECT_TRUE(TopKCompressor::deserialize(payload, 0).indices.empty());
     return;
   }
   const auto sparse = tensor::top_k_abs(v, std::max<std::int64_t>(1, GetParam() / 3));
-  const auto back = TopKCompressor::deserialize(TopKCompressor::serialize(sparse));
+  const auto back = TopKCompressor::deserialize(TopKCompressor::serialize(sparse), GetParam());
   EXPECT_EQ(back.indices, sparse.indices);
   EXPECT_EQ(back.values, sparse.values);
 }
@@ -122,21 +122,47 @@ TEST(WireFormats, TruncatedPayloadsRejected) {
                std::invalid_argument);
   EXPECT_THROW(OneBitCompressor::decode(std::vector<std::byte>(2), 8), std::invalid_argument);
   EXPECT_THROW(NaturalCompressor::decode(std::vector<std::byte>(2), 8), std::invalid_argument);
-  EXPECT_THROW(TopKCompressor::deserialize(std::vector<std::byte>(2)), std::invalid_argument);
+  EXPECT_THROW(TopKCompressor::deserialize(std::vector<std::byte>(2), 8), std::invalid_argument);
 }
 
-TEST(WireFormats, TopKNegativeCountRejected) {
-  std::vector<std::byte> payload(sizeof(std::int64_t));
-  const std::int64_t bad = -1;
-  std::memcpy(payload.data(), &bad, sizeof(bad));
-  EXPECT_THROW(TopKCompressor::deserialize(payload), std::invalid_argument);
+// A sparse payload with header k and one (index, value) entry per index;
+// value_bytes is 4 for the fp32 format and 2 for the half one.
+std::vector<std::byte> sparse_payload(std::int64_t k, const std::vector<std::int32_t>& indices,
+                                      std::size_t value_bytes) {
+  std::vector<std::byte> payload(sizeof(k) + indices.size() * (sizeof(std::int32_t) + value_bytes));
+  std::memcpy(payload.data(), &k, sizeof(k));
+  if (!indices.empty())
+    std::memcpy(payload.data() + sizeof(k), indices.data(), indices.size() * sizeof(std::int32_t));
+  return payload;
 }
+
+void expect_both_decoders_reject(std::int64_t k, const std::vector<std::int32_t>& indices,
+                                 std::int64_t n) {
+  EXPECT_THROW((void)TopKCompressor::deserialize(sparse_payload(k, indices, 4), n),
+               std::invalid_argument)
+      << "k=" << k;
+  EXPECT_THROW((void)TopKCompressor::deserialize_half(sparse_payload(k, indices, 2), n),
+               std::invalid_argument)
+      << "k=" << k;
+}
+
+TEST(WireFormats, TopKNegativeCountRejected) { expect_both_decoders_reject(-1, {}, 8); }
 
 TEST(WireFormats, TopKOversizedCountRejected) {
-  std::vector<std::byte> payload(sizeof(std::int64_t) + 8);
-  const std::int64_t claim = 1000;  // payload holds 1 entry at most
-  std::memcpy(payload.data(), &claim, sizeof(claim));
-  EXPECT_THROW(TopKCompressor::deserialize(payload), std::invalid_argument);
+  // The payloads hold at most one entry. k = 2^61 times the 8-byte fp32
+  // entry wraps to 0 in 64 bits, so the size check must divide, not
+  // multiply, or the header-only payload passes it.
+  for (const std::int64_t claim : {std::int64_t{1000}, std::int64_t{1} << 61}) {
+    expect_both_decoders_reject(claim, {}, 8);
+    expect_both_decoders_reject(claim, {0}, 8);
+  }
+}
+
+TEST(WireFormats, TopKIndexOutsideGradientRejected) {
+  // An index the receiver would scatter outside its n-element gradient.
+  for (const std::int32_t index : {std::int32_t{1} << 30, -5, 8})
+    expect_both_decoders_reject(1, {index}, 8);
+  EXPECT_NO_THROW((void)TopKCompressor::deserialize(sparse_payload(1, {7}, 4), 8));
 }
 
 }  // namespace
