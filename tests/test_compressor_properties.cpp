@@ -20,7 +20,9 @@ using tensor::Tensor;
 std::vector<CompressorConfig> all_configs() {
   std::vector<CompressorConfig> configs;
   const auto add = [&](Method m, auto mutate) {
-    CompressorConfig c;
+    // Value-initialised, so its padding is zero: gtest prints the raw bytes
+    // of the parameter into every ctest name.
+    auto c = CompressorConfig();
     c.method = m;
     mutate(c);
     configs.push_back(c);
