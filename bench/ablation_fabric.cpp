@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     json_rows.push_back({"agree/ring_small/p" + std::to_string(p), small_r, "ratio"});
     json_rows.push_back({"agree/ring_big/p" + std::to_string(p), big_r, "ratio"});
     json_rows.push_back({"agree/tree_big/p" + std::to_string(p), tree_r, "ratio"});
-    json_rows.push_back({"agree/allgather_ring_big/p" + std::to_string(p), gather_r, "ratio"});
+    json_rows.push_back({"agree/gather_ring_big/p" + std::to_string(p), gather_r, "ratio"});
   }
   bench::emit(agree);
 

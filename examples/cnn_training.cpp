@@ -64,7 +64,7 @@ int main() {
   }
 
   std::cout << "4 workers training a ConvNet (conv3x3 -> conv3x3 -> GAP -> linear) on the\n"
-               "quadrant task, PowerSGD rank-2 on every gradient, real ring all-reduces.\n\n";
+               "quadrant task, PowerSGD rank-2 on every gradient, real all-reduces.\n\n";
 
   stats::Table table({"step", "loss", "accuracy"});
   for (int step = 0; step <= 80; ++step) {

@@ -50,15 +50,6 @@ Seconds allgather_seconds(Bytes bytes_per_rank, int p, const Network& net) {
   return Seconds{latency + transfer};
 }
 
-Seconds reduce_scatter_seconds(Bytes bytes, int p, const Network& net) {
-  require_valid(bytes, p, net);
-  if (p == 1) return Seconds{};
-  const double latency = net.alpha.value() * static_cast<double>(p - 1);
-  const double transfer = bytes.value() * static_cast<double>(p - 1) /
-                          (static_cast<double>(p) * net.bandwidth.bytes_per_second());
-  return Seconds{latency + transfer};
-}
-
 Seconds broadcast_seconds(Bytes bytes, int p, const Network& net) {
   require_valid(bytes, p, net);
   if (p == 1) return Seconds{};

@@ -55,9 +55,6 @@ struct Network {
 // Latency alpha*(p-1); incast penalty applies here.
 [[nodiscard]] Seconds allgather_seconds(Bytes bytes_per_rank, int p, const Network& net);
 
-// Reduce-scatter half of a ring all-reduce.
-[[nodiscard]] Seconds reduce_scatter_seconds(Bytes bytes, int p, const Network& net);
-
 // Binomial-tree broadcast of `bytes` from one root.
 [[nodiscard]] Seconds broadcast_seconds(Bytes bytes, int p, const Network& net);
 

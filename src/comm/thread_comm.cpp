@@ -1,7 +1,7 @@
 #include "comm/thread_comm.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 #include <exception>
 #include <thread>
 
@@ -20,8 +20,6 @@ std::vector<std::size_t> chunk_offsets(std::size_t n, int p) {
   }
   return offsets;
 }
-
-int mod(int a, int p) { return ((a % p) + p) % p; }
 
 std::string failure_message(const std::vector<int>& failed) {
   std::string msg = "RankFailure: dead rank(s)";
@@ -51,7 +49,7 @@ ThreadComm::ThreadComm(int world_size, std::chrono::milliseconds timeout)
       rejoin_flag_(static_cast<std::size_t>(world_size), 0),
       dense_(static_cast<std::size_t>(world_size)),
       ranks_(static_cast<std::size_t>(world_size)),
-      mail_(static_cast<std::size_t>(world_size)),
+      reduce_spans_(static_cast<std::size_t>(world_size)),
       byte_slots_(static_cast<std::size_t>(world_size)) {
   if (timeout.count() <= 0)
     throw std::invalid_argument("ThreadComm: timeout must be positive");
@@ -266,9 +264,8 @@ void ThreadComm::complete_grow_locked() {
     active_[u] = 1;
     failed_[u] = 0;
     rejoin_flag_[u] = 0;
-    // Drop any traffic addressed to this rank id in a past life: the joiner
-    // must only ever observe messages from its new generation.
-    mail_[u].clear();
+    // Drop the gather payload this rank id left in a past life: the joiner
+    // must only ever observe data from its new generation.
     byte_slots_[u].clear();
   }
   rebuild_dense_locked();
@@ -417,110 +414,53 @@ void ThreadComm::barrier(int rank) {
   sync(rank);
 }
 
-void ThreadComm::allreduce_sum(int rank, std::span<float> data, Algorithm algorithm) {
+void ThreadComm::allreduce_sum(int rank, std::span<float> data) {
   validate_rank(rank);
   const int p = active_count_.load(std::memory_order_relaxed);
-  const int me = dense_[static_cast<std::size_t>(rank)];
+  const auto me = static_cast<std::size_t>(dense_[static_cast<std::size_t>(rank)]);
   if (p == 1) {
     ++allreduce_ops_;
     return;
   }
-  if (algorithm == Algorithm::kTree) {
-    allreduce_tree(rank, data);
-  } else {
-    allreduce_ring(rank, data);
-  }
-  if (me == 0) ++allreduce_ops_;
+  const auto buffers = std::span(reduce_spans_).first(static_cast<std::size_t>(p));
+  buffers[me] = data;
   sync(rank);
-}
-
-void ThreadComm::allreduce_ring(int rank, std::span<float> data) {
-  const int p = active_count_.load(std::memory_order_relaxed);
-  const int me = dense_[static_cast<std::size_t>(rank)];
+  // Every rank reads the same table, so either every rank throws here or
+  // none does; the extra sync keeps the table intact until all have read it.
+  for (const auto& peer : buffers) {
+    if (peer.size() != data.size()) {
+      sync(rank);
+      throw std::invalid_argument("allreduce_sum: ranks passed buffers of different lengths");
+    }
+  }
   const auto offsets = chunk_offsets(data.size(), p);
-  const auto chunk = [&](int c) {
-    const std::size_t lo = offsets[static_cast<std::size_t>(c)];
-    const std::size_t hi = offsets[static_cast<std::size_t>(c) + 1];
-    return data.subspan(lo, hi - lo);
-  };
-  const int next = ranks_[static_cast<std::size_t>(mod(me + 1, p))];
 
-  // Phase 1: ring reduce-scatter. After p-1 steps dense rank r owns the
-  // fully reduced chunk (r+1) mod p.
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_c = mod(me - s, p);
-    const int recv_c = mod(me - s - 1, p);
-    auto out = chunk(send_c);
-    mail_[static_cast<std::size_t>(next)].assign(out.begin(), out.end());
-    sync(rank);
-    const auto& in = mail_[static_cast<std::size_t>(rank)];
-    auto acc = chunk(recv_c);
-    if (in.size() != acc.size()) throw std::logic_error("allreduce_sum: chunk size mismatch");
-    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += in[i];
-    sync(rank);
-  }
-
-  // Phase 2: ring all-gather of the reduced chunks.
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_c = mod(me + 1 - s, p);
-    const int recv_c = mod(me - s, p);
-    auto out = chunk(send_c);
-    mail_[static_cast<std::size_t>(next)].assign(out.begin(), out.end());
-    sync(rank);
-    const auto& in = mail_[static_cast<std::size_t>(rank)];
-    auto dst = chunk(recv_c);
-    if (in.size() != dst.size()) throw std::logic_error("allreduce_sum: chunk size mismatch");
-    std::copy(in.begin(), in.end(), dst.begin());
-    sync(rank);
-  }
-}
-
-void ThreadComm::allreduce_tree(int rank, std::span<float> data) {
-  const int p = active_count_.load(std::memory_order_relaxed);
-  const int me = dense_[static_cast<std::size_t>(rank)];
-  int rounds = 0;
-  while ((1 << rounds) < p) ++rounds;
-
-  // Binomial reduce toward dense rank 0: in round k, dense rank r with bit k
-  // set (and lower bits clear) sends its partial sum to r - 2^k.
-  for (int k = 0; k < rounds; ++k) {
-    const int stride = 1 << k;
-    const int group = stride << 1;
-    const bool sender = me % group == stride;
-    const bool receiver = me % group == 0 && me + stride < p;
-    if (sender) {
-      const int peer = ranks_[static_cast<std::size_t>(me - stride)];
-      mail_[static_cast<std::size_t>(peer)].assign(data.begin(), data.end());
+  // Reduce-scatter: dense rank `me` sums slice `me` of every buffer in
+  // ascending rank order into its own buffer. Each peer meanwhile reads and
+  // writes only its own slice. The block accumulator lets the adds run
+  // across elements in SIMD lanes; each element's order is unchanged.
+  constexpr std::size_t kBlock = 512;
+  std::array<float, kBlock> acc{};
+  for (std::size_t b = offsets[me]; b < offsets[me + 1]; b += kBlock) {
+    const std::size_t n = std::min(kBlock, offsets[me + 1] - b);
+    std::copy_n(buffers[0].data() + b, n, acc.data());
+    for (std::size_t d = 1; d < buffers.size(); ++d) {
+      const float* x = buffers[d].data() + b;
+      for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
     }
-    sync(rank);
-    if (receiver) {
-      const auto& in = mail_[static_cast<std::size_t>(rank)];
-      if (in.size() != data.size())
-        throw std::logic_error("allreduce_tree: message size mismatch");
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] += in[i];
-    }
-    sync(rank);
+    std::copy_n(acc.data(), n, data.data() + b);
   }
+  sync(rank);
 
-  // Binomial broadcast from dense rank 0, mirroring the reduce.
-  for (int k = rounds - 1; k >= 0; --k) {
-    const int stride = 1 << k;
-    const int group = stride << 1;
-    const bool sender = me % group == 0 && me + stride < p;
-    const bool receiver = me % group == stride;
-    if (sender) {
-      const int peer = ranks_[static_cast<std::size_t>(me + stride)];
-      mail_[static_cast<std::size_t>(peer)].assign(data.begin(), data.end());
-    }
-    sync(rank);
-    if (receiver) {
-      const auto& in = mail_[static_cast<std::size_t>(rank)];
-      if (in.size() != data.size())
-        throw std::logic_error("allreduce_tree: message size mismatch");
-      std::copy(in.begin(), in.end(), data.begin());
-    }
-    sync(rank);
-  }
+  // All-gather: copy every other reduced slice from its owner.
+  for (std::size_t d = 0; d < buffers.size(); ++d)
+    if (d != me)
+      std::copy_n(buffers[d].data() + offsets[d], offsets[d + 1] - offsets[d],
+                  data.data() + offsets[d]);
+  if (me == 0) ++allreduce_ops_;
+  // No rank may return, and free or reuse its buffer, while a peer still
+  // reads it.
+  sync(rank);
 }
 
 std::vector<std::vector<std::byte>> ThreadComm::allgather(int rank,
@@ -535,65 +475,6 @@ std::vector<std::vector<std::byte>> ThreadComm::allgather(int rank,
     result.push_back(byte_slots_[static_cast<std::size_t>(ranks_[static_cast<std::size_t>(d)])]);
   if (p > 1) sync(rank);
   return result;
-}
-
-void ThreadComm::allgather_ring(int rank, std::span<const float> mine, std::span<float> out) {
-  validate_rank(rank);
-  const int p = active_count_.load(std::memory_order_relaxed);
-  const int me = dense_[static_cast<std::size_t>(rank)];
-  const std::size_t block = mine.size();
-  if (out.size() != block * static_cast<std::size_t>(p))
-    throw std::invalid_argument("allgather_ring: output must hold world_size blocks");
-
-  // Place own block, then forward the block received last step for p-1 steps.
-  std::copy(mine.begin(), mine.end(),
-            out.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(me) * block));
-  if (p == 1) return;
-  const int next = ranks_[static_cast<std::size_t>(mod(me + 1, p))];
-  for (int s = 0; s < p - 1; ++s) {
-    // In step s, dense rank r sends the block of dense rank (r - s) mod p and
-    // receives the block of (r - s - 1) mod p from its predecessor.
-    const int send_owner = mod(me - s, p);
-    const int recv_owner = mod(me - s - 1, p);
-    const auto send_at = out.subspan(static_cast<std::size_t>(send_owner) * block, block);
-    mail_[static_cast<std::size_t>(next)].assign(send_at.begin(), send_at.end());
-    sync(rank);
-    const auto& in = mail_[static_cast<std::size_t>(rank)];
-    if (in.size() != block) throw std::logic_error("allgather_ring: block size mismatch");
-    std::copy(in.begin(), in.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                static_cast<std::size_t>(recv_owner) * block));
-    sync(rank);
-  }
-}
-
-std::vector<std::vector<float>> ThreadComm::allgather_floats(int rank,
-                                                             std::span<const float> values) {
-  const auto as_bytes = std::as_bytes(values);
-  auto gathered = allgather(rank, as_bytes);
-  std::vector<std::vector<float>> result(gathered.size());
-  for (std::size_t r = 0; r < gathered.size(); ++r) {
-    const std::size_t n = gathered[r].size() / sizeof(float);
-    result[r].resize(n);
-    if (n > 0) std::memcpy(result[r].data(), gathered[r].data(), n * sizeof(float));
-  }
-  return result;
-}
-
-void ThreadComm::broadcast(int rank, int root, std::span<float> data) {
-  validate_rank(rank);
-  validate_rank(root);
-  if (active_count_.load(std::memory_order_relaxed) == 1) return;
-  if (rank == root) {
-    broadcast_src_ = data.data();
-    broadcast_len_ = data.size();
-  }
-  sync(rank);
-  if (rank != root) {
-    if (broadcast_len_ != data.size()) throw std::invalid_argument("broadcast: size mismatch");
-    std::copy(broadcast_src_, broadcast_src_ + broadcast_len_, data.begin());
-  }
-  sync(rank);
 }
 
 void ThreadComm::broadcast_bytes(int rank, int root, std::vector<std::byte>& data) {

@@ -1,28 +1,30 @@
 // Real in-process collectives over a group of worker threads.
 //
 // This is the "cluster" the end-to-end trainer and the numerical tests run
-// on: p ranks, each a thread, exchanging messages through per-step
-// mailboxes. The all-reduce genuinely executes the ring algorithm (p-1
-// reduce-scatter steps followed by p-1 all-gather steps, chunked), not a
-// shortcut shared-memory sum, so the aggregation path compression methods
-// must be compatible with is exercised for real.
+// on: p ranks, each a thread, sharing one address space. The all-reduce is
+// a direct reduce-scatter + all-gather over the ranks' own buffers: each
+// rank publishes its buffer, dense rank d sums slice d of every buffer in
+// ascending rank order, and every rank then copies the other slices from
+// their owners. Each element is therefore summed in the same order however
+// the gradients are grouped into calls. The paper's cost model and
+// `fabric` still price NCCL's ring and tree; this is the real path.
 //
 // Fault tolerance: every blocking wait carries a deadline, so a rank that
 // stops participating surfaces as a RankFailure error on the survivors
 // instead of hanging the group. A rank can also declare its own death
 // (fail()), which aborts in-flight collectives immediately. Survivors then
-// call shrink() collectively: the failed ranks are removed, the ring/tree is
-// rebuilt over a dense re-indexing of the survivors, and the group continues
-// at world size p-1 — world_size() always reports the ACTIVE count, which is
-// what gives compressor mean-reduction its p-1 reweighting for free.
+// call shrink() collectively: the failed ranks are removed, the dense rank
+// order is rebuilt over the survivors, and the group continues at world
+// size p-1 — world_size() always reports the ACTIVE count, which is what
+// gives compressor mean-reduction its p-1 reweighting for free.
 //
 // Elastic re-expansion: grow()/rejoin() are the inverse of shrink(). A
 // replacement worker re-spawned under a previously-reaped rank id parks in
 // rejoin() while every survivor calls grow() with the expected joiner set;
-// when both sides meet, the joiners are re-admitted, their stale mailboxes
-// are cleared, and the dense ring/tree order is rebuilt at the larger world
-// size. State resync (params, optimizer, compressor state) is the caller's
-// job, done in-band right after the grow via broadcast_bytes().
+// when both sides meet, the joiners are re-admitted, their stale gather
+// slots are cleared, and the dense rank order is rebuilt at the larger
+// world size. State resync (params, optimizer, compressor state) is the
+// caller's job, done in-band right after the grow via broadcast_bytes().
 #pragma once
 
 #include <atomic>
@@ -69,7 +71,7 @@ class ThreadComm {
   }
   [[nodiscard]] int initial_world_size() const noexcept { return initial_world_size_; }
   [[nodiscard]] bool is_active(int rank) const;
-  // Active original rank ids, ascending (the dense ring order).
+  // Active original rank ids, ascending (the dense rank order).
   [[nodiscard]] std::vector<int> active_ranks() const;
   // Ranks that died and have not been reaped by shrink() yet.
   [[nodiscard]] std::vector<int> failed_ranks() const;
@@ -91,7 +93,7 @@ class ThreadComm {
   void fail(int rank);
 
   // Collective among the survivors after a RankFailure: removes every failed
-  // rank from the group, rebuilds the dense ring order, clears aborted
+  // rank from the group, rebuilds the dense rank order, clears aborted
   // collective state, and returns the ranks that were removed (identical on
   // every caller). Throws std::runtime_error if no survivors would remain.
   // If yet another rank dies (fail()) while survivors are parked inside the
@@ -103,8 +105,8 @@ class ThreadComm {
   // calls grow(rank, joiners) with the SAME joiner set (ascending original
   // rank ids, all currently inactive) while each joiner calls rejoin(rank);
   // when all survivors and all expected joiners have arrived, the joiners
-  // are reactivated, their stale mailboxes are dropped, and the dense
-  // ring/tree order is rebuilt. Both calls return the new active rank list
+  // are reactivated, their stale gather slots are dropped, and the dense
+  // rank order is rebuilt. Both calls return the new active rank list
   // (identical on every participant). On timeout the absent survivors are
   // blamed as failed and RankFailure is thrown; a mismatched joiner set
   // aborts the round with std::logic_error on every participant.
@@ -112,42 +114,23 @@ class ThreadComm {
   std::vector<int> rejoin(int rank);
 
   // Copies root's byte payload into every active rank's `data` (receivers
-  // are resized to match — the variable-length counterpart of broadcast(),
-  // used for the rejoin state-resync blob).
+  // are resized to match; used for the rejoin state-resync blob).
   void broadcast_bytes(int rank, int root, std::vector<std::byte>& data);
 
-  // Which all-reduce algorithm to execute. Ring is bandwidth-optimal with
-  // latency ~p; the binomial double-tree-style reduce+broadcast has latency
-  // ~log2(p) (the trade NCCL switches on at scale, Section 2.2).
-  enum class Algorithm : std::uint8_t { kRing, kTree };
-
-  // In-place sum all-reduce. Every rank's `data` must have the same length.
-  void allreduce_sum(int rank, std::span<float> data,
-                     Algorithm algorithm = Algorithm::kRing);
+  // In-place sum all-reduce. Every element is summed over the active ranks
+  // in ascending dense rank order, ((x0 + x1) + x2) + ..., so the result
+  // does not depend on how a caller splits or concatenates its buffers.
+  // Every rank's `data` must have the same length; otherwise every rank
+  // throws std::invalid_argument. Peers read `data` until the call returns.
+  void allreduce_sum(int rank, std::span<float> data);
 
   // Gathers each active rank's byte payload; returns all payloads in dense
-  // (ring) order. Payload sizes may differ across ranks (the TopK case).
+  // rank order. Payload sizes may differ across ranks (the TopK case).
   [[nodiscard]] std::vector<std::vector<std::byte>> allgather(int rank,
                                                               std::span<const std::byte> bytes);
 
-  // Float convenience wrapper over allgather.
-  [[nodiscard]] std::vector<std::vector<float>> allgather_floats(int rank,
-                                                                 std::span<const float> values);
-
-  // True ring all-gather of equal-size float blocks: p-1 steps, each rank
-  // forwarding the block it received in the previous step to its successor
-  // (the message pattern whose wire cost is n*(p-1)/BW — the term that
-  // dooms non-all-reducible compressors at scale). `out` must hold
-  // world_size() * mine.size() floats and receives the blocks in dense rank
-  // order.
-  void allgather_ring(int rank, std::span<const float> mine, std::span<float> out);
-
-  // Copies root's data into every rank's buffer (sizes must match). Throws
-  // RankFailure if root is dead.
-  void broadcast(int rank, int root, std::span<float> data);
-
-  // Counts completed collective operations (for tests asserting the ring
-  // path actually ran).
+  // Number of completed allreduce_sum calls (one per collective, not per
+  // rank), for per-step counters.
   [[nodiscard]] std::uint64_t allreduce_count() const noexcept { return allreduce_ops_; }
 
  private:
@@ -159,7 +142,7 @@ class ThreadComm {
   // True when every live survivor has entered grow() and every expected
   // joiner is parked in rejoin().
   [[nodiscard]] bool grow_ready_locked() const GRADCOMP_REQUIRES(mu_);
-  // Re-admits the expected joiners and publishes the new ring.
+  // Re-admits the expected joiners and publishes the new rank order.
   void complete_grow_locked() GRADCOMP_REQUIRES(mu_);
   // Deadline handling shared by grow() and rejoin(): blames absent
   // survivors and aborts the round.
@@ -168,11 +151,8 @@ class ThreadComm {
   [[noreturn]] void throw_grow_abort_locked() const GRADCOMP_REQUIRES(mu_);
   // Count of still-live survivors of the in-progress shrink.
   [[nodiscard]] int live_survivors_locked() const GRADCOMP_REQUIRES(mu_);
-  // Reaps the agreed casualties and publishes the post-shrink ring.
+  // Reaps the agreed casualties and publishes the post-shrink rank order.
   void complete_shrink_locked() GRADCOMP_REQUIRES(mu_);
-  void allreduce_ring(int rank, std::span<float> data);
-  // Binomial-tree reduce to the dense root followed by binomial broadcast.
-  void allreduce_tree(int rank, std::span<float> data);
 
   const int initial_world_size_;
   std::chrono::milliseconds timeout_ GRADCOMP_GUARDED_BY(mu_);
@@ -211,16 +191,15 @@ class ThreadComm {
   // without the lock — the generation barrier's mutex orders publication.
   // Dense re-indexing of the active ranks: dense_[orig] in [0, active) or
   // -1; ranks_[dense] = orig.
-  std::vector<int> dense_ GRADCOMP_SYNC_EXTERNAL("barrier-published ring order");
-  std::vector<int> ranks_ GRADCOMP_SYNC_EXTERNAL("barrier-published ring order");
+  std::vector<int> dense_ GRADCOMP_SYNC_EXTERNAL("barrier-published rank order");
+  std::vector<int> ranks_ GRADCOMP_SYNC_EXTERNAL("barrier-published rank order");
 
-  // mail_[r] is the message most recently addressed to original rank r.
-  std::vector<std::vector<float>> mail_
-      GRADCOMP_SYNC_EXTERNAL("slot r written by one peer per step, epoch-fenced");
+  // reduce_spans_[d] is dense rank d's all-reduce buffer for the call in
+  // flight.
+  std::vector<std::span<float>> reduce_spans_
+      GRADCOMP_SYNC_EXTERNAL("slot d written by dense rank d, epoch-fenced");
   std::vector<std::vector<std::byte>> byte_slots_
       GRADCOMP_SYNC_EXTERNAL("slot r written by one peer per step, epoch-fenced");
-  const float* broadcast_src_ GRADCOMP_SYNC_EXTERNAL("root-written between barriers") = nullptr;
-  std::size_t broadcast_len_ GRADCOMP_SYNC_EXTERNAL("root-written between barriers") = 0;
   const std::vector<std::byte>* byte_broadcast_src_
       GRADCOMP_SYNC_EXTERNAL("root-written between barriers") = nullptr;
   std::uint64_t allreduce_ops_ GRADCOMP_SYNC_EXTERNAL("dense rank 0 writes, epoch-fenced") = 0;

@@ -3,6 +3,8 @@
 #include "compress/state_io.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "stats/timer.hpp"
@@ -185,7 +187,12 @@ void PowerSgdCompressor::restore_shared_state(std::span<const std::byte> bytes) 
     const std::int64_t m = reader.i64();
     LayerState state;
     state.q = reader.tensor();
-    state.residual = tensor::Tensor({m, state.q.dim(0)});  // zero error feedback
+    if (state.q.ndim() != 2)
+      throw std::runtime_error(name() + " shared state: Q is not a matrix");
+    const std::int64_t n = state.q.dim(0);
+    if (m < 1 || (n > 0 && m > std::numeric_limits<std::int64_t>::max() / n))
+      throw std::runtime_error(name() + " shared state: corrupt residual row count");
+    state.residual = tensor::Tensor({m, n});  // zero error feedback
     state.initialized = true;
     states.emplace(key, std::move(state));
   }

@@ -22,12 +22,4 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-// Times `fn` over `iters` invocations and returns mean seconds per call.
-template <typename Fn>
-[[nodiscard]] double time_mean_seconds(Fn&& fn, int iters) {
-  WallTimer t;
-  for (int i = 0; i < iters; ++i) fn();
-  return t.seconds() / static_cast<double>(iters > 0 ? iters : 1);
-}
-
 }  // namespace gradcomp::stats

@@ -96,12 +96,6 @@ TEST(Allgather, IncastPenaltyDegrades) {
               1.5, 1e-9);
 }
 
-TEST(ReduceScatter, HalfOfRingBandwidth) {
-  const Network net = Network::from_gbps(10, gradcomp::core::units::Seconds{0.0});
-  EXPECT_NEAR(reduce_scatter_seconds(gradcomp::core::units::Bytes{10 * kMB}, 16, net).value() * 2.0,
-              ring_allreduce_seconds(gradcomp::core::units::Bytes{10 * kMB}, 16, net).value(), 1e-12);
-}
-
 TEST(Broadcast, LogarithmicHops) {
   const Network net = Network::from_gbps(10, gradcomp::core::units::Seconds{1e-4});
   const double t2 = broadcast_seconds(gradcomp::core::units::Bytes{kMB}, 2, net).value();

@@ -79,7 +79,7 @@ TEST(CommFailure, ShrunkGroupRunsAllCollectives) {
   const int p = 4;
   comm::ThreadComm comm(p);
   comm::run_ranks(p, [&](int rank) {
-    if (rank == 0) {  // kill the ring's old head: dense re-indexing shifts
+    if (rank == 0) {  // kill dense rank 0: dense re-indexing shifts
       comm.fail(rank);
       return;
     }
@@ -89,25 +89,21 @@ TEST(CommFailure, ShrunkGroupRunsAllCollectives) {
     } catch (const comm::RankFailure&) {
       comm.shrink(rank);
     }
-    // Ring all-reduce.
     data = {static_cast<float>(rank)};
     comm.allreduce_sum(rank, data);
     EXPECT_FLOAT_EQ(data[0], 6.0F);  // 1 + 2 + 3
-    // Tree all-reduce.
-    data = {static_cast<float>(rank)};
-    comm.allreduce_sum(rank, data, comm::ThreadComm::Algorithm::kTree);
-    EXPECT_FLOAT_EQ(data[0], 6.0F);
     // All-gather returns survivors in dense (ascending original) order.
-    const std::vector<float> mine = {static_cast<float>(10 * rank)};
-    const auto gathered = comm.allgather_floats(rank, mine);
+    const std::byte mine[] = {static_cast<std::byte>(10 * rank)};
+    const auto gathered = comm.allgather(rank, mine);
     ASSERT_EQ(gathered.size(), 3U);
-    EXPECT_FLOAT_EQ(gathered[0][0], 10.0F);
-    EXPECT_FLOAT_EQ(gathered[1][0], 20.0F);
-    EXPECT_FLOAT_EQ(gathered[2][0], 30.0F);
+    EXPECT_EQ(gathered[0], std::vector<std::byte>{std::byte{10}});
+    EXPECT_EQ(gathered[1], std::vector<std::byte>{std::byte{20}});
+    EXPECT_EQ(gathered[2], std::vector<std::byte>{std::byte{30}});
     // Broadcast from a surviving root.
-    std::vector<float> bc = {rank == 2 ? 7.0F : 0.0F};
-    comm.broadcast(rank, 2, bc);
-    EXPECT_FLOAT_EQ(bc[0], 7.0F);
+    std::vector<std::byte> bc;
+    if (rank == 2) bc = {std::byte{7}};
+    comm.broadcast_bytes(rank, 2, bc);
+    EXPECT_EQ(bc, std::vector<std::byte>{std::byte{7}});
   });
 }
 
@@ -208,15 +204,17 @@ TEST(CommGrow, GrowReadmitsRankAndRebuildsRing) {
       EXPECT_EQ(active, (std::vector<int>{0, 1, 2, 3}));
     }
     // Every rank, including the joiner, now runs collectives at the restored
-    // world size. Distinct per-rank values catch ring misrouting: a stale
-    // dense->original table entry would send the joiner's chunk to the wrong
-    // mailbox and corrupt the sum.
+    // world size. Distinct per-rank values catch misrouting: a stale
+    // dense->original table entry would drop or repeat a rank's buffer in
+    // the sum, or put the joiner's payload in the wrong gather slot.
     std::vector<float> data = {static_cast<float>(rank + 1)};
     comm.allreduce_sum(rank, data);
     EXPECT_FLOAT_EQ(data[0], 10.0F);
-    data = {static_cast<float>(rank + 1)};
-    comm.allreduce_sum(rank, data, comm::ThreadComm::Algorithm::kTree);
-    EXPECT_FLOAT_EQ(data[0], 10.0F);
+    const std::byte mine[] = {static_cast<std::byte>(rank)};
+    const auto gathered = comm.allgather(rank, mine);
+    ASSERT_EQ(gathered.size(), 4U);
+    for (std::size_t d = 0; d < gathered.size(); ++d)
+      EXPECT_EQ(gathered[d], std::vector<std::byte>{static_cast<std::byte>(d)});
     // The resync transport: variable-length broadcast reaches the joiner.
     std::vector<std::byte> blob;
     if (rank == 0) blob = {std::byte{0xAB}, std::byte{0xCD}, std::byte{0xEF}};

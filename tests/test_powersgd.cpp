@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "compressor_harness.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/serial.hpp"
 
 namespace gradcomp::compress {
 namespace {
@@ -27,6 +29,24 @@ CompressorConfig ps_config(int rank, bool warm_start = true) {
 TEST(PowerSgd, RejectsBadRank) {
   EXPECT_THROW(PowerSgdCompressor(0), std::invalid_argument);
   EXPECT_THROW(PowerSgdCompressor(-4), std::invalid_argument);
+}
+
+TEST(PowerSgd, RestoreSharedStateRejectsCorruptRowCount) {
+  // One layer whose Q is 4 x 2, so the residual is m x 4.
+  const auto blob = [](std::int64_t m) {
+    tensor::ByteWriter writer;
+    writer.u64(1);
+    writer.i64(0);
+    writer.i64(m);
+    writer.tensor(Tensor({4, 2}));
+    return writer.take();
+  };
+  PowerSgdCompressor c(2);
+  c.restore_shared_state(blob(3));  // well formed
+  EXPECT_THROW(c.restore_shared_state(blob(-1)), std::runtime_error);
+  EXPECT_THROW(c.restore_shared_state(blob(0)), std::runtime_error);
+  // m * 4 overflows int64.
+  EXPECT_THROW(c.restore_shared_state(blob(std::int64_t{1} << 62)), std::runtime_error);
 }
 
 TEST(PowerSgd, TraitsMatchTable1) {

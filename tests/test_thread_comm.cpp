@@ -5,12 +5,62 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace gradcomp::comm {
 namespace {
+
+// The all-reduce contract: element i of the result is
+// ((x0[i] + x1[i]) + x2[i]) + ..., over the buffers in ascending rank order.
+std::vector<float> ascending_rank_sum(std::span<const std::vector<float>> buffers) {
+  std::vector<float> sum = buffers.front();
+  for (const auto& b : buffers.subspan(1))
+    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += b[i];
+  return sum;
+}
+
+// All-reduces five tensors on `ranks` (ascending original ids) once with one
+// call per tensor and once as one concatenated buffer. Both results must be
+// memcmp-equal to the ascending-rank sum.
+void expect_independent_of_grouping(ThreadComm& comm, const std::vector<int>& ranks) {
+  const std::vector<std::size_t> sizes = {7171, 129, 1000, 5, 1};
+  const std::size_t total = std::accumulate(sizes.begin(), sizes.end(), std::size_t{0});
+  std::vector<std::vector<float>> inputs(static_cast<std::size_t>(comm.initial_world_size()));
+  std::vector<std::vector<float>> participating;
+  for (const int r : ranks) {
+    auto& x = inputs[static_cast<std::size_t>(r)];
+    x.resize(total);
+    // Non-integer values, so that a different summation order rounds
+    // differently.
+    for (std::size_t i = 0; i < total; ++i) {
+      const std::size_t h = (i * 2654435761U + static_cast<std::size_t>(r) * 40503U) % 100003U;
+      x[i] = static_cast<float>(h) / 9973.0F - 5.0F;
+    }
+    participating.push_back(x);
+  }
+  const std::vector<float> expect = ascending_rank_sum(participating);
+  auto split = inputs;
+  auto joined = inputs;
+  run_ranks(ranks, [&](int rank) {
+    std::span<float> rest(split[static_cast<std::size_t>(rank)]);
+    for (const std::size_t n : sizes) {
+      comm.allreduce_sum(rank, rest.first(n));
+      rest = rest.subspan(n);
+    }
+    comm.allreduce_sum(rank, joined[static_cast<std::size_t>(rank)]);
+  });
+  for (const int r : ranks) {
+    const auto u = static_cast<std::size_t>(r);
+    EXPECT_EQ(std::memcmp(split[u].data(), expect.data(), total * sizeof(float)), 0)
+        << "rank " << r << ", one call per tensor";
+    EXPECT_EQ(std::memcmp(joined[u].data(), expect.data(), total * sizeof(float)), 0)
+        << "rank " << r << ", one concatenated call";
+  }
+}
 
 TEST(ThreadComm, RejectsInvalidWorldSize) {
   EXPECT_THROW(ThreadComm(0), std::invalid_argument);
@@ -58,7 +108,7 @@ TEST(ThreadComm, AllreduceSingleRankIsIdentity) {
 }
 
 TEST(ThreadComm, AllreduceVectorShorterThanWorld) {
-  // n < p exercises empty chunks in the ring.
+  // n < p leaves some ranks an empty slice to reduce.
   const int p = 8;
   ThreadComm comm(p);
   std::vector<std::vector<float>> data(p, std::vector<float>(3, 1.0F));
@@ -99,6 +149,51 @@ TEST(ThreadComm, AllreduceRankValidation) {
   EXPECT_THROW(comm.allreduce_sum(-1, data), std::invalid_argument);
 }
 
+TEST(ThreadComm, AllreduceIsIndependentOfGrouping) {
+  for (const int p : {3, 4}) {
+    ThreadComm comm(p);
+    std::vector<int> ranks(static_cast<std::size_t>(p));
+    std::iota(ranks.begin(), ranks.end(), 0);
+    expect_independent_of_grouping(comm, ranks);
+  }
+  // After rank 0 is removed, original rank 1 is first in the sum.
+  ThreadComm comm(4);
+  run_ranks(4, [&](int rank) {
+    if (rank == 0) {
+      comm.fail(rank);
+      return;
+    }
+    std::vector<float> data(3);
+    try {
+      comm.allreduce_sum(rank, data);
+      ADD_FAILURE() << "rank " << rank << " should have observed the failure";
+    } catch (const RankFailure&) {
+      comm.shrink(rank);
+    }
+  });
+  expect_independent_of_grouping(comm, {1, 2, 3});
+}
+
+TEST(ThreadComm, AllreduceLengthMismatchThrowsOnEveryRank) {
+  const int p = 4;
+  const auto timeout = std::chrono::milliseconds(5000);
+  ThreadComm comm(p, timeout);
+  std::vector<std::vector<float>> data(p, std::vector<float>(8, 1.0F));
+  data[2].resize(9, 1.0F);
+  const auto start = std::chrono::steady_clock::now();
+  run_ranks(p, [&](int rank) {
+    EXPECT_THROW(comm.allreduce_sum(rank, data[static_cast<std::size_t>(rank)]),
+                 std::invalid_argument);
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - start, timeout / 10);
+  // Nobody was blamed, and the group still reduces.
+  EXPECT_TRUE(comm.failed_ranks().empty());
+  data[2].resize(8);
+  run_ranks(p, [&](int rank) { comm.allreduce_sum(rank, data[static_cast<std::size_t>(rank)]); });
+  for (const auto& v : data)
+    for (float x : v) EXPECT_EQ(x, 4.0F);
+}
+
 TEST(ThreadComm, AllgatherVariableSizes) {
   const int p = 3;
   ThreadComm comm(p);
@@ -120,22 +215,6 @@ TEST(ThreadComm, AllgatherVariableSizes) {
   }
 }
 
-TEST(ThreadComm, AllgatherFloats) {
-  const int p = 2;
-  ThreadComm comm(p);
-  std::vector<std::vector<std::vector<float>>> results(p);
-  run_ranks(p, [&](int rank) {
-    std::vector<float> mine = {static_cast<float>(rank), 7.0F};
-    results[static_cast<std::size_t>(rank)] = comm.allgather_floats(rank, mine);
-  });
-  for (int r = 0; r < p; ++r) {
-    ASSERT_EQ(results[static_cast<std::size_t>(r)].size(), 2U);
-    EXPECT_FLOAT_EQ(results[static_cast<std::size_t>(r)][0][0], 0.0F);
-    EXPECT_FLOAT_EQ(results[static_cast<std::size_t>(r)][1][0], 1.0F);
-    EXPECT_FLOAT_EQ(results[static_cast<std::size_t>(r)][1][1], 7.0F);
-  }
-}
-
 TEST(ThreadComm, AllgatherEmptyPayload) {
   const int p = 2;
   ThreadComm comm(p);
@@ -147,67 +226,18 @@ TEST(ThreadComm, AllgatherEmptyPayload) {
   });
 }
 
-TEST(ThreadComm, RingAllgatherCollectsBlocksInRankOrder) {
-  const int p = 4;
-  const std::size_t block = 3;
-  ThreadComm comm(p);
-  std::vector<std::vector<float>> results(p, std::vector<float>(block * p));
-  run_ranks(p, [&](int rank) {
-    std::vector<float> mine(block);
-    for (std::size_t i = 0; i < block; ++i)
-      mine[i] = static_cast<float>(rank * 10 + static_cast<int>(i));
-    comm.allgather_ring(rank, mine, results[static_cast<std::size_t>(rank)]);
-  });
-  for (int r = 0; r < p; ++r)
-    for (int owner = 0; owner < p; ++owner)
-      for (std::size_t i = 0; i < block; ++i)
-        EXPECT_FLOAT_EQ(
-            results[static_cast<std::size_t>(r)][static_cast<std::size_t>(owner) * block + i],
-            static_cast<float>(owner * 10 + static_cast<int>(i)));
-}
-
-TEST(ThreadComm, RingAllgatherSingleRank) {
-  ThreadComm comm(1);
-  std::vector<float> mine = {1.0F, 2.0F};
-  std::vector<float> out(2);
-  comm.allgather_ring(0, mine, out);
-  EXPECT_EQ(out, mine);
-}
-
-TEST(ThreadComm, RingAllgatherValidatesOutputSize) {
-  ThreadComm comm(2);
-  std::vector<float> mine(3);
-  std::vector<float> wrong(5);
-  EXPECT_THROW(comm.allgather_ring(0, mine, wrong), std::invalid_argument);
-}
-
-TEST(ThreadComm, RingAllgatherMatchesSlotAllgather) {
-  const int p = 5;  // odd, exercises wrap-around
-  const std::size_t block = 7;
-  ThreadComm comm(p);
-  std::vector<std::vector<float>> ring_out(p, std::vector<float>(block * p));
-  std::vector<std::vector<std::vector<float>>> slot_out(p);
-  run_ranks(p, [&](int rank) {
-    std::vector<float> mine(block);
-    for (std::size_t i = 0; i < block; ++i)
-      mine[i] = static_cast<float>((rank * 31 + static_cast<int>(i) * 7) % 13);
-    comm.allgather_ring(rank, mine, ring_out[static_cast<std::size_t>(rank)]);
-    slot_out[static_cast<std::size_t>(rank)] = comm.allgather_floats(rank, mine);
-  });
-  for (int r = 0; r < p; ++r)
-    for (int owner = 0; owner < p; ++owner)
-      for (std::size_t i = 0; i < block; ++i)
-        EXPECT_EQ(ring_out[static_cast<std::size_t>(r)][static_cast<std::size_t>(owner) * block + i],
-                  slot_out[static_cast<std::size_t>(r)][static_cast<std::size_t>(owner)][i]);
-}
-
 TEST(ThreadComm, BroadcastCopiesRootData) {
   const int p = 4;
   ThreadComm comm(p);
-  std::vector<std::vector<float>> data(p, std::vector<float>(5, 0.0F));
-  data[2] = {1, 2, 3, 4, 5};
-  run_ranks(p, [&](int rank) { comm.broadcast(rank, 2, data[static_cast<std::size_t>(rank)]); });
-  for (const auto& v : data) EXPECT_EQ(v, (std::vector<float>{1, 2, 3, 4, 5}));
+  const std::vector<std::byte> root_data = {std::byte{1}, std::byte{2}, std::byte{3},
+                                            std::byte{4}, std::byte{5}};
+  // Receivers start with a different length; broadcast_bytes resizes them.
+  std::vector<std::vector<std::byte>> data(p, std::vector<std::byte>(2));
+  data[2] = root_data;
+  run_ranks(p, [&](int rank) {
+    comm.broadcast_bytes(rank, 2, data[static_cast<std::size_t>(rank)]);
+  });
+  for (const auto& v : data) EXPECT_EQ(v, root_data);
 }
 
 TEST(ThreadComm, RepeatedCollectivesStayConsistent) {
@@ -223,34 +253,6 @@ TEST(ThreadComm, RepeatedCollectivesStayConsistent) {
   const double expect = std::pow(4.0, 50.0);
   for (const auto& v : data)
     for (float x : v) EXPECT_NEAR(static_cast<double>(x) / expect, 1.0, 1e-3);
-}
-
-TEST(ThreadComm, TreeAllreduceMatchesRing) {
-  const int p = 5;  // non-power-of-two exercises the straggler branch
-  ThreadComm comm(p);
-  std::vector<std::vector<float>> ring_data(p, std::vector<float>(13));
-  for (int r = 0; r < p; ++r)
-    for (int i = 0; i < 13; ++i)
-      ring_data[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] =
-          static_cast<float>(r * 13 + i);
-  auto tree_data = ring_data;
-  run_ranks(p, [&](int rank) {
-    comm.allreduce_sum(rank, ring_data[static_cast<std::size_t>(rank)],
-                       ThreadComm::Algorithm::kRing);
-    comm.allreduce_sum(rank, tree_data[static_cast<std::size_t>(rank)],
-                       ThreadComm::Algorithm::kTree);
-  });
-  for (int r = 0; r < p; ++r)
-    for (int i = 0; i < 13; ++i)
-      EXPECT_NEAR(tree_data[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)],
-                  ring_data[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)], 1e-4);
-}
-
-TEST(ThreadComm, TreeAllreduceSingleRank) {
-  ThreadComm comm(1);
-  std::vector<float> data = {3.0F};
-  comm.allreduce_sum(0, data, ThreadComm::Algorithm::kTree);
-  EXPECT_FLOAT_EQ(data[0], 3.0F);
 }
 
 TEST(ThreadComm, ReportsMembershipAndTimeout) {
@@ -290,8 +292,8 @@ TEST(RunRanks, SubsetOverloadRunsOnlyGivenRanks) {
   EXPECT_EQ(hits[3].load(), 1);
 }
 
-// Property sweep: BOTH all-reduce algorithms equal the arithmetic sum for
-// many world sizes and vector lengths.
+// Property sweep: for many world sizes and vector lengths the all-reduce
+// equals, bit for bit, the float sum taken in ascending rank order.
 class RingSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(RingSweep, MatchesDirectSum) {
@@ -299,27 +301,16 @@ TEST_P(RingSweep, MatchesDirectSum) {
   ThreadComm comm(p);
   std::vector<std::vector<float>> data(static_cast<std::size_t>(p),
                                        std::vector<float>(static_cast<std::size_t>(n)));
-  std::vector<float> expect(static_cast<std::size_t>(n), 0.0F);
   for (int r = 0; r < p; ++r)
-    for (int i = 0; i < n; ++i) {
-      const float v = static_cast<float>((r * 31 + i * 7) % 13) - 6.0F;
-      data[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] = v;
-      expect[static_cast<std::size_t>(i)] += v;
-    }
-  auto tree_data = data;
-  run_ranks(p, [&](int rank) {
-    comm.allreduce_sum(rank, data[static_cast<std::size_t>(rank)],
-                       ThreadComm::Algorithm::kRing);
-    comm.allreduce_sum(rank, tree_data[static_cast<std::size_t>(rank)],
-                       ThreadComm::Algorithm::kTree);
-  });
+    for (int i = 0; i < n; ++i)
+      data[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] =
+          static_cast<float>((r * 31 + i * 7) % 13 - 6) / 7.0F;
+  const std::vector<float> expect = ascending_rank_sum(data);
+  run_ranks(p, [&](int rank) { comm.allreduce_sum(rank, data[static_cast<std::size_t>(rank)]); });
   for (int r = 0; r < p; ++r)
-    for (int i = 0; i < n; ++i) {
-      EXPECT_NEAR(data[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)],
-                  expect[static_cast<std::size_t>(i)], 1e-4);
-      EXPECT_NEAR(tree_data[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)],
-                  expect[static_cast<std::size_t>(i)], 1e-4);
-    }
+    for (int i = 0; i < n; ++i)
+      EXPECT_EQ(data[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)],
+                expect[static_cast<std::size_t>(i)]);
 }
 
 INSTANTIATE_TEST_SUITE_P(WorldAndLength, RingSweep,

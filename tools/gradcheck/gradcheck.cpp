@@ -944,8 +944,7 @@ struct LockEdge {
 const std::set<std::string>& blocking_calls() {
   static const std::set<std::string> kBlocking = {
       // ThreadComm collectives and membership operations
-      "barrier", "allreduce_sum", "allgather", "allgather_floats", "allgather_ring",
-      "broadcast", "broadcast_bytes", "shrink", "grow", "rejoin",
+      "barrier", "allreduce_sum", "allgather", "broadcast_bytes", "shrink", "grow", "rejoin",
       // pool dispatch (the caller participates until every chunk completes)
       "parallel_for", "reduce_ordered", "submit",
       // thread joins and wall-clock sleeps
