@@ -110,7 +110,9 @@ int main(int argc, char** argv) {
   std::vector<Result> results;
   tensor::Rng rng(42);
 
-  // --- top-k: exact (serial nth_element) vs fast (sampled threshold + pool)
+  // --- top-k: exact (serial nth_element over all indices) vs fast (spread
+  // sample -> threshold, one filter pass over pooled chunks, nth_element
+  // over the survivors' magnitudes)
   {
     const std::int64_t n = 1 << 22;  // 4M elements, ~a ResNet-50 gradient
     const std::int64_t k = n / 100;  // TopK-1%

@@ -83,7 +83,12 @@ int main() {
   for (auto& c : codes) c = static_cast<std::uint8_t>(rng.next_u64() & 0xFF);
   std::vector<std::uint8_t> tern_codes(static_cast<std::size_t>((n + 3) / 4));
   for (auto& c : tern_codes) c = static_cast<std::uint8_t>(rng.next_u64() & 0xFF);
-  std::vector<std::int64_t> idx_out(static_cast<std::size_t>(n));
+  // Top-k's filter runs over 32768-element chunks; adding zeros keeps the
+  // accumulating row's input the same across repetitions.
+  const std::int64_t chunk = 1 << 15;
+  std::vector<std::uint16_t> hits(static_cast<std::size_t>(chunk));
+  std::vector<float> zeros(static_cast<std::size_t>(n), 0.0F);
+  std::vector<float> acc = values;
 
   const std::int64_t gm = 256;
   const std::int64_t gk = 256;
@@ -117,10 +122,17 @@ int main() {
        [&] { simd::to_half(values.data(), n, halves.data()); }},
       {"fp16_from_half", nf * 2 + nf * 4, 10,
        [&] { simd::from_half(halves.data(), n, floats_out.data()); }},
-      {"topk_count", nf * 4, 20,
-       [&] { (void)simd::count_abs_ge(values.data(), n, 0.99F); }},
-      {"topk_collect", nf * 4, 10,
-       [&] { (void)simd::collect_abs_ge(values.data(), n, 0.99F, 0, idx_out.data()); }},
+      {"topk_filter", nf * 4, 20,
+       [&] {
+         for (std::int64_t lo = 0; lo < n; lo += chunk)
+           (void)simd::filter_abs_ge(values.data() + lo, chunk, 0.99F, hits.data());
+       }},
+      {"topk_accumulate_filter", nf * 12, 10,
+       [&] {
+         for (std::int64_t lo = 0; lo < n; lo += chunk)
+           (void)simd::accumulate_filter_abs_ge(zeros.data() + lo, acc.data() + lo, chunk, 0.99F,
+                                                hits.data());
+       }},
       {"qsgd_decode", nf * 1 + nf * 4, 10,
        [&] { simd::qsgd_decode(codes.data(), n, 3.5F, 127.0F, floats_out.data()); }},
       {"terngrad_decode", nf / 4 + nf * 4, 10,

@@ -45,25 +45,25 @@ DgcCompressor::LayerState& DgcCompressor::state_for(LayerId layer, const tensor:
   return state;
 }
 
-tensor::TopKResult DgcCompressor::select_and_clear(LayerId layer, const tensor::Tensor& grad) {
+const tensor::TopKResult& DgcCompressor::select_and_clear(LayerId layer,
+                                                          const tensor::Tensor& grad) {
   LayerState& state = state_for(layer, grad.shape());
   // Momentum correction: u = m*u + g; accumulation: v = v + u.
   state.velocity.scale(static_cast<float>(momentum_));
   state.velocity.add_(grad);
   state.accumulation.add_(state.velocity);
 
-  const auto sparse =
-      tensor::top_k_abs(state.accumulation.data(), k_for(grad.numel()), &workspace_);
+  tensor::top_k_abs_into(state.accumulation.data(), k_for(grad.numel()), sparse_, &workspace_);
 
   // Transmitted coordinates stop accumulating (both u and v are cleared
   // there, per the reference implementation's masking).
   auto acc = state.accumulation.data();
   auto vel = state.velocity.data();
-  for (auto idx : sparse.indices) {
+  for (auto idx : sparse_.indices) {
     acc[static_cast<std::size_t>(idx)] = 0.0F;
     vel[static_cast<std::size_t>(idx)] = 0.0F;
   }
-  return sparse;
+  return sparse_;
 }
 
 AggregateStats DgcCompressor::aggregate(LayerId layer, int rank, comm::ThreadComm& comm,
@@ -72,30 +72,20 @@ AggregateStats DgcCompressor::aggregate(LayerId layer, int rank, comm::ThreadCom
   stats.bytes_sent = compressed_bytes(grad.shape());
 
   stats::WallTimer encode_timer;
-  const auto sparse = select_and_clear(layer, grad);
-  const auto payload = TopKCompressor::serialize(sparse);
+  const auto payload = TopKCompressor::serialize(select_and_clear(layer, grad));
   stats.encode_seconds = encode_timer.seconds();
 
   const auto gathered = comm.allgather(rank, payload);
 
   stats::WallTimer decode_timer;
-  const std::int64_t n = grad.numel();
-  grad.fill(0.0F);
-  auto out = grad.data();
-  for (const auto& msg : gathered) {
-    const auto remote = TopKCompressor::deserialize(msg, n);
-    for (std::size_t j = 0; j < remote.indices.size(); ++j)
-      out[static_cast<std::size_t>(remote.indices[j])] += remote.values[j];
-  }
-  grad.scale(1.0F / static_cast<float>(comm.world_size()));
+  TopKCompressor::decode_mean(gathered, /*half_values=*/false, grad.data(), touched_);
   stats.decode_seconds = decode_timer.seconds();
   return stats;
 }
 
 tensor::Tensor DgcCompressor::roundtrip(LayerId layer, const tensor::Tensor& grad) {
-  const auto sparse = select_and_clear(layer, grad);
   tensor::Tensor out(grad.shape());
-  tensor::scatter(sparse, out.data());
+  tensor::scatter(select_and_clear(layer, grad), out.data());
   return out;
 }
 

@@ -45,13 +45,19 @@ class DgcCompressor final : public Compressor {
   };
   LayerState& state_for(LayerId layer, const tensor::Shape& shape);
   // Runs momentum correction + accumulation and selects the coordinates to
-  // transmit; zeroes the transmitted coordinates in both accumulators.
-  [[nodiscard]] tensor::TopKResult select_and_clear(LayerId layer, const tensor::Tensor& grad);
+  // transmit into sparse_; zeroes the transmitted coordinates in both
+  // accumulators.
+  [[nodiscard]] const tensor::TopKResult& select_and_clear(LayerId layer,
+                                                           const tensor::Tensor& grad);
 
   double fraction_;
   double momentum_;
   std::unordered_map<LayerId, LayerState> states_;
-  tensor::Workspace workspace_;  // selection scratch reused across steps
+  // Selection scratch, result storage and the decode's bitmap, reused
+  // across steps.
+  tensor::Workspace workspace_;
+  tensor::TopKResult sparse_;
+  std::vector<std::uint64_t> touched_;
 };
 
 }  // namespace gradcomp::compress

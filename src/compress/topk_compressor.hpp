@@ -50,11 +50,25 @@ class TopKCompressor final : public Compressor {
   [[nodiscard]] static tensor::TopKResult deserialize_half(std::span<const std::byte> bytes,
                                                            std::int64_t n);
 
+  // The decode of TopK (either value format) and DGC. Writes the mean of
+  // the gathered payloads over `out`: zero-fills it, adds each payload's
+  // values at its indices straight from the wire in rank order, then
+  // multiplies each coordinate a payload touched by 1/p once, p =
+  // payloads.size(). That is memcmp-equal to fill -> scatter-add -> dense
+  // scale, since an untouched +0 equals +0 * (1/p). A repeated index adds
+  // twice. Each payload is validated as the deserializers validate it, with
+  // n = out.size(). `touched` is scratch, one bit per coordinate.
+  static void decode_mean(std::span<const std::vector<std::byte>> payloads, bool half_values,
+                          std::span<float> out, std::vector<std::uint64_t>& touched);
+
  private:
   // Selects the top-k of the gradient (plus, with error feedback, the
-  // layer's residual, which accumulates the gradient in place) into
-  // sparse_scratch_ and returns its payload. The residual then keeps what
-  // the selection, and in fp16 mode the value rounding, dropped.
+  // layer's residual, which accumulates the gradient in place in the
+  // selection's filter pass) into sparse_scratch_ and returns its payload.
+  // The residual then keeps what the selection, and in fp16 mode the value
+  // rounding, dropped. A sent coordinate whose decoded value is not finite
+  // (a NaN, ±Inf, or an fp16 overflow) leaves +0 in the residual in both
+  // formats: it was sent, and x - x is not 0 for it.
   [[nodiscard]] std::vector<std::byte> select_and_encode(LayerId layer,
                                                          const tensor::Tensor& grad);
   [[nodiscard]] std::vector<std::byte> encode(const tensor::TopKResult& sparse) const;
@@ -65,10 +79,11 @@ class TopKCompressor final : public Compressor {
   bool error_feedback_;
   bool fp16_values_;
   std::unordered_map<LayerId, tensor::Tensor> residuals_;
-  // Selection scratch + reused result storage: the encode hot path does no
-  // per-step allocation in steady state.
+  // Selection scratch, reused result storage and the decode's bitmap: in
+  // steady state the payloads are the only per-step allocations.
   tensor::Workspace workspace_;
   tensor::TopKResult sparse_scratch_;
+  std::vector<std::uint64_t> touched_;
 };
 
 }  // namespace gradcomp::compress

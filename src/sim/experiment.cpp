@@ -36,17 +36,18 @@ std::vector<ScalingPoint> weak_scaling(core::Cluster cluster, const SimOptions& 
   const auto npoints = static_cast<std::int64_t>(worker_counts.size());
   std::vector<ScalingPoint> points(worker_counts.size());
   const compress::CompressorConfig baseline{};  // syncSGD
+  for (std::size_t i = 0; i < points.size(); ++i) points[i].workers = worker_counts[i];
 
   // Each (worker count, config) measurement owns a freshly seeded ClusterSim,
   // so the points are independent: dispatching them onto the pool yields
   // bit-exact agreement with the serial order at any --jobs value. The task
-  // space is 2 tasks per point (sync / compressed) for load balance.
+  // space is 2 tasks per point (sync / compressed) for load balance; each
+  // task writes only its own field of the point.
   core::global_pool().parallel_for(0, 2 * npoints, 1, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t t = lo; t < hi; ++t) {
       const auto i = static_cast<std::size_t>(t / 2);
       core::Cluster c = cluster;
       c.world_size = worker_counts[i];
-      points[i].workers = worker_counts[i];
       if (t % 2 == 0)
         points[i].sync = measure(c, options, baseline, workload, protocol);
       else

@@ -1,5 +1,6 @@
 #include "tensor/serial.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
@@ -101,7 +102,8 @@ double ByteReader::f64() {
 
 void ByteReader::floats(std::span<float> out) {
   need(out.size() * sizeof(float));
-  std::memcpy(out.data(), data_.data() + pos_, out.size() * sizeof(float));
+  // memcpy's pointers must be non-null even for zero bytes (an empty tensor).
+  if (!out.empty()) std::memcpy(out.data(), data_.data() + pos_, out.size() * sizeof(float));
   pos_ += out.size() * sizeof(float);
 }
 
@@ -121,6 +123,17 @@ Tensor ByteReader::tensor() {
   for (auto& d : shape) {
     d = i64();
     if (d < 0) throw std::runtime_error(context_ + ": negative tensor dimension");
+  }
+  // The payload must hold every declared float. Checked by division before
+  // anything is allocated, so a huge product can neither wrap nor allocate.
+  if (std::find(shape.begin(), shape.end(), 0) == shape.end()) {
+    const std::uint64_t room = remaining() / sizeof(float);
+    std::uint64_t numel = 1;
+    for (const auto d : shape) {
+      if (static_cast<std::uint64_t>(d) > room / numel)
+        throw std::runtime_error(context_ + ": tensor larger than its payload");
+      numel *= static_cast<std::uint64_t>(d);
+    }
   }
   Tensor t(shape);
   floats(t.data());

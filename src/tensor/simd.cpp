@@ -9,7 +9,7 @@
 //       running them is gated on the runtime dispatch below.
 //
 // Exactness: the bit-level kernels (sign pack/unpack/select, FP16 convert,
-// threshold count/filter, dequantize) are lane-independent and use the same
+// top-k filter, dequantize) are lane-independent and use the same
 // IEEE operations in the same per-element order as the scalar reference, so
 // they are bit-exact — including NaN, -0.0, and denormal inputs. The two
 // hardware-vs-software FP16 NaN mismatches (float->half NaN payload
@@ -90,17 +90,22 @@ void from_half_scalar(const std::uint16_t* src, std::int64_t n, float* dst) {
   for (std::int64_t i = 0; i < n; ++i) dst[i] = half_to_float(src[i]);
 }
 
-std::int64_t count_abs_ge_scalar(const float* values, std::int64_t n, float threshold) {
-  std::int64_t count = 0;
-  for (std::int64_t i = 0; i < n; ++i) count += std::abs(values[i]) >= threshold ? 1 : 0;
-  return count;
-}
-
-std::int64_t collect_abs_ge_scalar(const float* values, std::int64_t n, float threshold,
-                                   std::int64_t index_base, std::int64_t* out) {
+// Top-k's filter over one chunk. Branch-free: each element stores its
+// offset (base + i) and only a survivor advances the cursor. `out` is
+// written, and `add` read, only when accumulating.
+template <bool kAccumulate>
+std::int64_t filter_abs_ge_scalar(const float* add, const float* in, float* out, std::int64_t n,
+                                  float threshold, std::int64_t base, std::uint16_t* hits) {
   std::int64_t at = 0;
-  for (std::int64_t i = 0; i < n; ++i)
-    if (std::abs(values[i]) >= threshold) out[at++] = index_base + i;
+  for (std::int64_t i = 0; i < n; ++i) {
+    float v = in[i];
+    if constexpr (kAccumulate) {
+      v = add[i] + v;
+      out[i] = v;
+    }
+    hits[at] = static_cast<std::uint16_t>(base + i);
+    at += std::abs(v) < threshold ? 0 : 1;
+  }
   return at;
 }
 
@@ -306,40 +311,57 @@ GRADCOMP_AVX2 void from_half_avx2(const std::uint16_t* src, std::int64_t n, floa
   if (i < n) from_half_scalar(src + i, n - i, dst + i);
 }
 
-// --- top-k threshold filtering ----------------------------------------------
+// --- top-k threshold filter --------------------------------------------------
 
-GRADCOMP_AVX2 std::int64_t count_abs_ge_avx2(const float* values, std::int64_t n,
-                                             float threshold) {
-  const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
-  const __m256 t = _mm256_set1_ps(threshold);
-  std::int64_t count = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 a = _mm256_and_ps(_mm256_loadu_ps(values + i), absmask);
-    const int mask = _mm256_movemask_ps(_mm256_cmp_ps(a, t, _CMP_GE_OQ));
-    count += __builtin_popcount(static_cast<unsigned>(mask));
+// For each 8-lane survivor mask: the surviving lanes in ascending order, and
+// how many there are.
+struct CompressTable {
+  alignas(16) std::uint16_t lanes[256][8];
+  std::uint8_t count[256];
+};
+
+constexpr CompressTable make_compress_table() {
+  CompressTable table{};
+  for (unsigned mask = 0; mask < 256; ++mask) {
+    unsigned at = 0;
+    for (unsigned lane = 0; lane < 8; ++lane)
+      if ((mask >> lane) & 1U) table.lanes[mask][at++] = static_cast<std::uint16_t>(lane);
+    table.count[mask] = static_cast<std::uint8_t>(at);
   }
-  if (i < n) count += count_abs_ge_scalar(values + i, n - i, threshold);
-  return count;
+  return table;
 }
 
-GRADCOMP_AVX2 std::int64_t collect_abs_ge_avx2(const float* values, std::int64_t n,
-                                               float threshold, std::int64_t index_base,
-                                               std::int64_t* out) {
+constexpr CompressTable kCompressTable = make_compress_table();
+
+// _CMP_NLT_UQ is the scalar `!(|v| < t)`: true for a NaN. All eight
+// offsets are stored at hits + at, and `at` then advances past the
+// survivors only, so the stores stay inside the first i + 8 entries.
+template <bool kAccumulate>
+GRADCOMP_AVX2 std::int64_t filter_abs_ge_avx2(const float* add, const float* in, float* out,
+                                              std::int64_t n, float threshold,
+                                              std::uint16_t* hits) {
   const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
   const __m256 t = _mm256_set1_ps(threshold);
   std::int64_t at = 0;
   std::int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256 a = _mm256_and_ps(_mm256_loadu_ps(values + i), absmask);
-    auto mask = static_cast<unsigned>(_mm256_movemask_ps(_mm256_cmp_ps(a, t, _CMP_GE_OQ)));
-    while (mask != 0) {  // ascending bit order == ascending index order
-      const int lane = __builtin_ctz(mask);
-      out[at++] = index_base + i + lane;
-      mask &= mask - 1;
+    __m256 v = _mm256_loadu_ps(in + i);
+    if constexpr (kAccumulate) {
+      v = _mm256_add_ps(_mm256_loadu_ps(add + i), v);
+      _mm256_storeu_ps(out + i, v);
     }
+    const auto mask = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_cmp_ps(_mm256_and_ps(v, absmask), t, _CMP_NLT_UQ)));
+    const __m128i lanes =
+        _mm_load_si128(reinterpret_cast<const __m128i*>(kCompressTable.lanes[mask]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(hits + at),
+                     _mm_add_epi16(lanes, _mm_set1_epi16(static_cast<short>(i))));
+    at += kCompressTable.count[mask];
   }
-  if (i < n) at += collect_abs_ge_scalar(values + i, n - i, threshold, index_base + i, out + at);
+  if (i < n)
+    at += filter_abs_ge_scalar<kAccumulate>(kAccumulate ? add + i : nullptr, in + i,
+                                            kAccumulate ? out + i : nullptr, n - i, threshold,
+                                            i, hits + at);
   return at;
 }
 
@@ -766,20 +788,22 @@ void from_half(const std::uint16_t* src, std::int64_t n, float* dst) {
   GRADCOMP_DISPATCH(from_half_avx2(src, n, dst), from_half_scalar(src, n, dst));
 }
 
-std::int64_t count_abs_ge(const float* values, std::int64_t n, float threshold) {
-#if GRADCOMP_SIMD_X86
-  if (active_level() == Level::kAvx2) return count_abs_ge_avx2(values, n, threshold);
-#endif
-  return count_abs_ge_scalar(values, n, threshold);
+std::int64_t filter_abs_ge(const float* values, std::int64_t n, float threshold,
+                           std::uint16_t* hits) {
+  std::int64_t count = 0;
+  GRADCOMP_DISPATCH(
+      count = filter_abs_ge_avx2<false>(nullptr, values, nullptr, n, threshold, hits),
+      count = filter_abs_ge_scalar<false>(nullptr, values, nullptr, n, threshold, 0, hits));
+  return count;
 }
 
-std::int64_t collect_abs_ge(const float* values, std::int64_t n, float threshold,
-                            std::int64_t index_base, std::int64_t* out) {
-#if GRADCOMP_SIMD_X86
-  if (active_level() == Level::kAvx2)
-    return collect_abs_ge_avx2(values, n, threshold, index_base, out);
-#endif
-  return collect_abs_ge_scalar(values, n, threshold, index_base, out);
+std::int64_t accumulate_filter_abs_ge(const float* add, float* values, std::int64_t n,
+                                      float threshold, std::uint16_t* hits) {
+  std::int64_t count = 0;
+  GRADCOMP_DISPATCH(
+      count = filter_abs_ge_avx2<true>(add, values, values, n, threshold, hits),
+      count = filter_abs_ge_scalar<true>(add, values, values, n, threshold, 0, hits));
+  return count;
 }
 
 void qsgd_decode(const std::uint8_t* codes, std::int64_t n, float norm, float levels,

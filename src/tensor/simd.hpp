@@ -18,12 +18,11 @@
 //   * Every kernel is bit-exact against its scalar reference wherever the
 //     algorithm is deterministic: pack/unpack (including NaN, -0.0), FP16
 //     convert (NaN payloads canonicalized to match the software converter),
-//     threshold count/filter, and the dequantize loops produce identical
-//     bytes at either level. The AVX2 GEMM kernels are bit-exact to their
-//     documented FMA order instead, which reassociates the scalar kernels'
-//     reduction, so the two levels agree only to a small relative
-//     tolerance — documented at the kernels and pinned by
-//     tests/test_simd.cpp.
+//     the top-k filter and the dequantize loops produce identical bytes at
+//     either level. The AVX2 GEMM kernels are bit-exact to their documented
+//     FMA order instead, which reassociates the scalar kernels' reduction,
+//     so the two levels agree only to a small relative tolerance —
+//     documented at the kernels and pinned by tests/test_simd.cpp.
 //   * Raw vector intrinsics live ONLY in simd.cpp; gradcheck's
 //     `raw-intrinsic` token rule fails the build on any `_mm*`/`__m256`
 //     token outside this module.
@@ -88,16 +87,18 @@ void unpack_select(const std::byte* bits, std::int64_t n, float pos_level, float
 void to_half(const float* src, std::int64_t n, std::uint16_t* dst);
 void from_half(const std::uint16_t* src, std::int64_t n, float* dst);
 
-// --- top-k threshold filtering ----------------------------------------------
-// Number of i in [0, n) with |values[i]| >= threshold (NaN never counts),
-// exactly as the scalar filter counts them.
-[[nodiscard]] std::int64_t count_abs_ge(const float* values, std::int64_t n, float threshold);
+// --- top-k threshold filter --------------------------------------------------
+// One chunk of top-k selection's filter pass, n <= 65536. Writes to `hits`,
+// in ascending order, each offset i in [0, n) with |values[i]| >= threshold
+// (a NaN always counts: |NaN| < threshold is false) and returns how many.
+// `hits` must hold n entries; those past the returned count are scratch.
+std::int64_t filter_abs_ge(const float* values, std::int64_t n, float threshold,
+                           std::uint16_t* hits);
 
-// Writes index_base + i for each surviving i, in ascending order, to `out`
-// (which must hold at least the matching count_abs_ge result). Returns the
-// number written.
-std::int64_t collect_abs_ge(const float* values, std::int64_t n, float threshold,
-                            std::int64_t index_base, std::int64_t* out);
+// The same filter over values[i] = add[i] + values[i], each sum stored in
+// place first: error feedback's accumulate, folded into the pass.
+std::int64_t accumulate_filter_abs_ge(const float* add, float* values, std::int64_t n,
+                                      float threshold, std::uint16_t* hits);
 
 // --- dequantize --------------------------------------------------------------
 // QSGD: out[i] = +/- (norm * (code & 0x7F) / levels), sign from bit 7.

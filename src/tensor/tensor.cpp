@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "tensor/rng.hpp"
@@ -12,6 +13,8 @@ std::int64_t shape_numel(const Shape& shape) {
   std::int64_t n = 1;
   for (auto d : shape) {
     if (d < 0) throw std::invalid_argument("shape_numel: negative dimension");
+    if (d != 0 && n > std::numeric_limits<std::int64_t>::max() / d)
+      throw std::overflow_error("shape_numel: element count overflows int64");
     n *= d;
   }
   return n;

@@ -19,6 +19,8 @@ class Rng;
 
 using Shape = std::vector<std::int64_t>;
 
+// Product of the dimensions. Throws std::invalid_argument on a negative
+// dimension and std::overflow_error if the product overflows int64.
 [[nodiscard]] std::int64_t shape_numel(const Shape& shape);
 
 class Tensor {

@@ -5,17 +5,27 @@
 // gradient regardless of how small k is, which is why TopK-1% is barely
 // cheaper than TopK-20%.
 //
-// Two implementations share one result contract:
+// The order: an element's rank key is |x|, with a NaN ranked as +inf, and
+// equal keys are broken by lower index. A NaN or ±Inf therefore wins the
+// selection, and so is sent and propagates rather than lingering unsent.
+//
+// Two implementations share one result contract — the k first elements of
+// that order, returned in ascending index order:
 //   * `top_k_abs_exact` — iota + nth_element over an index vector, the
-//     reference semantics (ties broken by lower index, ascending indices);
-//   * `top_k_abs` — a two-pass sampled-threshold fast path: estimate a
-//     conservative magnitude threshold from a strided sample, then filter
-//     the full vector in parallel and run the exact selection on the small
-//     candidate set. Whenever the candidate set covers k elements the
-//     result is IDENTICAL to the exact path (the candidates are a superset
-//     of the true top-k and the comparator is unchanged); otherwise it
-//     falls back to the exact path. Small inputs go straight to the exact
-//     path.
+//     reference semantics;
+//   * `top_k_abs` — a one-pass sampled-threshold fast path. A threshold t
+//     is read off a spread strided sample; one pass over the vector records,
+//     per fixed chunk, the indices whose key is >= t. The k-th largest key v
+//     among those candidates is found by nth_element over their keys as
+//     plain floats, and one ordered pass keeps every key > v plus the
+//     lowest-index candidates with key == v. Whenever the candidates number
+//     at least k, every element of the true top-k is among them, so the
+//     result is IDENTICAL to the exact path; with fewer than k it falls back
+//     to the exact path. Small inputs go straight to the exact path.
+//
+// `top_k_abs_accumulate_into` is error feedback's entry point: the filter
+// pass first accumulates data[i] = add[i] + data[i] in place, so the sum is
+// streamed once.
 //
 // Passing a `Workspace` keeps the scratch vectors (and the result's own
 // index/value storage via the *_into overloads) alive across calls, so the
@@ -23,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,12 +46,16 @@ struct TopKResult {
 
 // Reusable scratch for top_k_abs / top_k_abs_exact. Plain buffers; safe to
 // share across layers of one (single-threaded) compressor, not across
-// threads.
+// threads. The fast path's buffers only ever grow.
 struct Workspace {
-  std::vector<std::int64_t> idx;         // exact path: full index vector
-  std::vector<float> sample;             // fast path: sampled magnitudes
-  std::vector<std::int64_t> candidates;  // fast path: threshold survivors
-  std::vector<std::int64_t> chunk_off;   // fast path: per-chunk write offsets
+  std::vector<std::int64_t> idx;  // exact path: full index vector
+  std::vector<float> sample;      // fast path: sampled rank keys
+  // Fast path: survivors' offsets in their chunk, one slice per chunk. Left
+  // unzeroed, so only the pages the filter writes become resident.
+  std::unique_ptr<std::uint16_t[]> hits;
+  std::int64_t hits_size = 0;
+  std::vector<std::int64_t> hit_count;  // fast path: survivors per chunk
+  std::vector<float> keys;              // fast path: survivors' rank keys
 };
 
 // Returns the k elements of `data` largest in absolute value. k is clamped
@@ -59,12 +74,18 @@ void top_k_abs_into(std::span<const float> data, std::int64_t k, TopKResult& out
 void top_k_abs_exact_into(std::span<const float> data, std::int64_t k, TopKResult& out,
                           Workspace* ws = nullptr);
 
+// Sets data[i] = add[i] + data[i] for every i, then selects from the sums
+// exactly as top_k_abs_into does. Throws std::invalid_argument if the sizes
+// differ.
+void top_k_abs_accumulate_into(std::span<const float> add, std::span<float> data,
+                               std::int64_t k, TopKResult& out, Workspace* ws = nullptr);
+
 // Scatters values back into a zeroed dense vector of length n.
 [[nodiscard]] std::vector<float> scatter(const TopKResult& sparse, std::int64_t n);
 
 // In-place scatter into caller memory: zero-fills `dense`, then writes
-// values at their indices. The decode-side primitive of the sparse
-// compressors (TopK/RandomK/DGC) — no per-call allocation.
+// values at their indices. RandomK's decode and the sparse compressors'
+// roundtrip use it — no per-call allocation.
 void scatter(const TopKResult& sparse, std::span<float> dense);
 void scatter(std::span<const std::int64_t> indices, std::span<const float> values,
              std::span<float> dense);

@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 
 #include "compressor_harness.hpp"
+#include "scoped_pool.hpp"
 #include "tensor/rng.hpp"
 
 namespace gradcomp::compress {
 namespace {
 
 using gradcomp::testing::MultiRankHarness;
+using gradcomp::testing::ScopedPool;
 using tensor::Rng;
 using tensor::Tensor;
 
@@ -107,6 +110,31 @@ TEST(Dgc, AggregateAllRanksAgree) {
   const auto results = harness.aggregate(0, grads);
   for (std::size_t r = 1; r < results.size(); ++r)
     EXPECT_DOUBLE_EQ(tensor::max_abs_diff(results[0], results[r]), 0.0);
+}
+
+TEST(Dgc, AggregateMatchesFillScatterScaleReference) {
+  // DGC decodes through TopK's fp32 decode. On the first step the velocity
+  // and the accumulation both equal the gradient, so each rank sends its
+  // top 1% exactly; the mean must be memcmp-equal to fill -> rank-ordered
+  // scatter-add -> x (1/p).
+  for (const int threads : {1, 4}) {
+    const ScopedPool pool(threads);
+    for (const int p : {3, 4}) {
+      Rng rng(53 + static_cast<std::uint64_t>(p));
+      const auto grads = gradcomp::testing::overlapping_gradients(p, 20000, rng);
+      std::vector<std::vector<std::byte>> payloads;
+      for (const auto& g : grads)
+        payloads.push_back(TopKCompressor::serialize(tensor::top_k_abs_exact(g.data(), 200)));
+      const Tensor want = gradcomp::testing::sparse_reference_mean(payloads, false, {20000});
+      MultiRankHarness harness(dgc_config(0.01), p);
+      const auto got = harness.aggregate(0, grads);
+      for (int r = 0; r < p; ++r)
+        ASSERT_EQ(std::memcmp(got[static_cast<std::size_t>(r)].data().data(), want.data().data(),
+                              want.byte_size()),
+                  0)
+            << "pool " << threads << " p=" << p << " rank " << r;
+    }
+  }
 }
 
 TEST(Dgc, FullFractionZeroMomentumEqualsMean) {

@@ -2,45 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <stdexcept>
 
-#include "core/parallel.hpp"
+#include "counting_new.hpp"
+#include "scoped_pool.hpp"
 #include "tensor/rng.hpp"
-
-// Every heap allocation in this binary passes through here, so a test can
-// count the ones a call makes. Kept out of line: inlined into callers, GCC
-// mistakes the malloc/free pair for a new/free mismatch.
-namespace {
-std::atomic<std::int64_t> g_allocations{0};
-}  // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 
 namespace gradcomp::train {
 namespace {
 
 using tensor::Rng;
 using tensor::Tensor;
-
-// Sets the global pool size for one test and restores the default after.
-class ScopedPool {
- public:
-  explicit ScopedPool(int threads) { core::set_global_pool_threads(threads); }
-  ~ScopedPool() { core::set_global_pool_threads(0); }
-  ScopedPool(const ScopedPool&) = delete;
-  ScopedPool& operator=(const ScopedPool&) = delete;
-};
+using gradcomp::testing::g_allocations;
+using gradcomp::testing::ScopedPool;
 
 std::vector<int> labels_for(std::int64_t batch, int classes, Rng& rng) {
   std::vector<int> y(static_cast<std::size_t>(batch));

@@ -92,5 +92,37 @@ TEST(Serial, TensorRejectsAbsurdRank) {
   EXPECT_THROW((void)r.tensor(), std::runtime_error);
 }
 
+TEST(Serial, TensorLargerThanItsPayloadThrowsBeforeAllocating) {
+  // 20 bytes declaring 2^32 x 2^32 floats and carrying none: the product
+  // wraps to 0 in 64 bits, so it must be checked against the bytes left.
+  ByteWriter w;
+  w.u32(2);
+  w.i64(std::int64_t{1} << 32);
+  w.i64(std::int64_t{1} << 32);
+  ASSERT_EQ(w.data().size(), 20U);
+  ByteReader r(w.data(), "test");
+  EXPECT_THROW((void)r.tensor(), std::runtime_error);
+
+  // One float short of the shape.
+  ByteWriter short_payload;
+  short_payload.u32(2);
+  short_payload.i64(2);
+  short_payload.i64(3);
+  for (int i = 0; i < 5; ++i) short_payload.u32(0);
+  ByteReader short_reader(short_payload.data(), "test");
+  EXPECT_THROW((void)short_reader.tensor(), std::runtime_error);
+}
+
+TEST(Serial, EmptyTensorWithLargeDimensionRoundTrips) {
+  // A zero dimension makes the tensor empty whatever the other dimensions.
+  const Shape shape = {std::int64_t{1} << 40, 0};
+  ByteWriter w;
+  w.tensor(Tensor(shape));
+  ByteReader r(w.data(), "test");
+  const Tensor back = r.tensor();
+  EXPECT_EQ(back.shape(), shape);
+  r.expect_done();
+}
+
 }  // namespace
 }  // namespace gradcomp::tensor

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/half.hpp"
@@ -203,35 +204,44 @@ TEST(SimdHalf, FromHalfBitExactIncludingNanPayloads) {
   }
 }
 
-TEST(SimdThresholdFilter, CountAndCollectMatchScalar) {
+TEST(SimdThresholdFilter, FilterAndAccumulateMatchScalar) {
+  // Both levels keep the same offsets (|v| >= t, NaN always) and store the
+  // same sums, over every tail length and misalignment, in both modes.
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
-  for (std::int64_t n : {0, 1, 5, 8, 13, 64, 100, 1000, 4096, 4099}) {
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::int64_t n : {0, 1, 5, 8, 13, 64, 100, 1000, 4099, 65536}) {
     for (std::int64_t off : kOffsets) {
-      std::vector<float> buf = hostile_input(n + kPad, 99 + static_cast<std::uint64_t>(n));
-      const float* values = buf.data() + off;
-      for (float t : {0.5F, 0.0F, -1.0F, std::numeric_limits<float>::quiet_NaN()}) {
-        std::int64_t scalar_count = 0;
-        std::int64_t simd_count = 0;
-        std::vector<std::int64_t> scalar_idx(static_cast<std::size_t>(n) + 1);
-        std::vector<std::int64_t> simd_idx(static_cast<std::size_t>(n) + 1);
-        std::int64_t scalar_written = 0;
-        std::int64_t simd_written = 0;
-        {
-          ScopedLevel forced(Level::kScalar);
-          scalar_count = count_abs_ge(values, n, t);
-          scalar_written = collect_abs_ge(values, n, t, 1000, scalar_idx.data());
+      const std::vector<float> start = hostile_input(n + kPad, 99 + static_cast<std::uint64_t>(n));
+      const std::vector<float> add = hostile_input(n + kPad, 7 + static_cast<std::uint64_t>(n));
+      for (float t : {0.5F, 0.0F, -1.0F, std::numeric_limits<float>::denorm_min(), inf,
+                      std::numeric_limits<float>::quiet_NaN()}) {
+        for (const bool accumulate : {false, true}) {
+          std::vector<float> values[2] = {start, start};
+          std::vector<std::uint16_t> hits[2];
+          std::int64_t count[2] = {0, 0};
+          for (int l = 0; l < 2; ++l) {
+            ScopedLevel forced(l == 0 ? Level::kScalar : Level::kAvx2);
+            hits[l].resize(static_cast<std::size_t>(n) + 1);
+            float* v = values[l].data() + off;
+            count[l] = accumulate
+                           ? accumulate_filter_abs_ge(add.data() + off, v, n, t, hits[l].data())
+                           : filter_abs_ge(v, n, t, hits[l].data());
+          }
+          const std::string what = "n=" + std::to_string(n) + " off=" + std::to_string(off) +
+                                   " t=" + std::to_string(t) + " acc=" + std::to_string(accumulate);
+          ASSERT_EQ(count[0], count[1]) << what;
+          ASSERT_EQ(std::memcmp(values[0].data(), values[1].data(), values[0].size() * 4), 0)
+              << what;
+          std::int64_t want = 0;
+          for (std::int64_t i = 0; i < n; ++i) {
+            if (std::abs(values[0][static_cast<std::size_t>(off + i)]) < t) continue;
+            ASSERT_LT(want, count[0]) << what;
+            ASSERT_EQ(hits[0][static_cast<std::size_t>(want)], i) << what;
+            ASSERT_EQ(hits[1][static_cast<std::size_t>(want)], i) << what;
+            ++want;
+          }
+          ASSERT_EQ(want, count[0]) << what;
         }
-        {
-          ScopedLevel forced(Level::kAvx2);
-          simd_count = count_abs_ge(values, n, t);
-          simd_written = collect_abs_ge(values, n, t, 1000, simd_idx.data());
-        }
-        EXPECT_EQ(scalar_count, simd_count) << "n=" << n << " t=" << t;
-        ASSERT_EQ(scalar_written, simd_written) << "n=" << n << " t=" << t;
-        EXPECT_EQ(scalar_count, scalar_written);
-        for (std::int64_t i = 0; i < scalar_written; ++i)
-          EXPECT_EQ(scalar_idx[static_cast<std::size_t>(i)],
-                    simd_idx[static_cast<std::size_t>(i)]);
       }
     }
   }

@@ -20,6 +20,13 @@ TEST(Shape, NegativeDimThrows) {
   EXPECT_THROW(shape_numel({2, -1}), std::invalid_argument);
 }
 
+TEST(Shape, OverflowingProductThrows) {
+  const std::int64_t big = std::int64_t{1} << 32;
+  EXPECT_THROW(shape_numel({big, big}), std::overflow_error);
+  EXPECT_EQ(shape_numel({big, big / 2 - 1}), big * (big / 2 - 1));
+  EXPECT_EQ(shape_numel({big, 0, big, big}), 0);
+}
+
 TEST(Tensor, ZeroInitialized) {
   Tensor t({3, 4});
   EXPECT_EQ(t.numel(), 12);

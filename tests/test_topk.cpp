@@ -3,14 +3,43 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "scoped_pool.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
 
 namespace gradcomp::tensor {
 namespace {
+
+using gradcomp::testing::ScopedPool;
+
+// Same indices and the same value bits (NaN != NaN defeats operator==).
+void expect_same(const TopKResult& got, const TopKResult& want, const std::string& what) {
+  ASSERT_EQ(got.indices, want.indices) << what;
+  ASSERT_EQ(got.values.size(), want.values.size()) << what;
+  for (std::size_t j = 0; j < got.values.size(); ++j)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.values[j]),
+              std::bit_cast<std::uint32_t>(want.values[j]))
+        << what << " at " << j;
+}
+
+// The MLP's 1024 x 1024 weight gradient, row-major, with columns 0 and 512
+// scaled: those are the only columns a stride-512 sample would read.
+Tensor column_structured(Rng& rng, float column_scale) {
+  Tensor t = Tensor::randn({1024, 1024}, rng);
+  for (std::int64_t row = 0; row < 1024; ++row) {
+    t.at(row * 1024) *= column_scale;
+    t.at(row * 1024 + 512) *= column_scale;
+  }
+  return t;
+}
 
 TEST(TopK, SelectsLargestMagnitudes) {
   const std::vector<float> data = {0.1F, -5.0F, 3.0F, -0.2F, 4.0F};
@@ -161,7 +190,8 @@ TEST(TopKFastPath, MatchesExactWithMassiveTies) {
 }
 
 TEST(TopKFastPath, MatchesExactOnConstantInput) {
-  // All elements tie: survivors == n, forcing the oversize fallback.
+  // All elements tie: every element survives the filter, and the finish
+  // keeps the lowest indices.
   const std::vector<float> data(20000, 1.0F);
   const TopKResult fast = top_k_abs(data, 50);
   const TopKResult exact = top_k_abs_exact(data, 50);
@@ -169,29 +199,150 @@ TEST(TopKFastPath, MatchesExactOnConstantInput) {
   EXPECT_EQ(fast.values, exact.values);
 }
 
+TEST(TopKFastPath, MatchesExactWithNaNAndInf) {
+  // A NaN ranks as +inf and ties with ±Inf by index. The patterns put
+  // non-finite values above, around and below the sampled threshold.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::int64_t n = 300000;
+  struct Pattern {
+    const char* name;
+    std::int64_t k;
+    float (*value)(std::int64_t i, float base, float nan, float inf);
+  };
+  const Pattern patterns[] = {
+      {"NaN at every odd index", 30001,
+       [](std::int64_t i, float base, float nan, float) { return i % 2 == 1 ? nan : base; }},
+      {"sparse NaN, -NaN, +Inf, -Inf", 3000,
+       [](std::int64_t i, float base, float nan, float inf) {
+         switch (i % 997) {
+           case 3: return nan;
+           case 5: return -nan;
+           case 11: return inf;
+           case 13: return -inf;
+           default: return base;
+         }
+       }},
+      {"non-finite every 300th, fewer than k", 3000,
+       [](std::int64_t i, float base, float nan, float inf) {
+         if (i % 300 != 0) return base;
+         return i % 900 == 0 ? nan : (i % 600 == 0 ? -inf : inf);
+       }},
+      {"only non-finite", 3000,
+       [](std::int64_t i, float, float nan, float inf) {
+         return i % 3 == 0 ? nan : (i % 3 == 1 ? -inf : inf);
+       }},
+  };
+  for (const int threads : {1, 4}) {
+    const ScopedPool pool(threads);
+    for (const Pattern& pattern : patterns) {
+      Rng rng(23);
+      std::vector<float> data(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i)
+        data[static_cast<std::size_t>(i)] = pattern.value(i, rng.gaussian(), nan, inf);
+      const std::string what = std::string(pattern.name) + ", pool " + std::to_string(threads);
+      Workspace ws;
+      TopKResult fast;
+      top_k_abs_into(data, pattern.k, fast, &ws);
+      expect_same(fast, top_k_abs_exact(data, pattern.k), what);
+      EXPECT_TRUE(ws.idx.empty()) << what << ": fell back to the exact path";
+    }
+  }
+}
+
+TEST(TopK, NaNAndInfRankFirst) {
+  // NaN and ±Inf share the top rank and tie by index.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> data = {1.0F, -inf, 3.0F, nan, inf, -2.0F};
+  const TopKResult r = top_k_abs(data, 4);
+  EXPECT_EQ(r.indices, (std::vector<std::int64_t>{1, 2, 3, 4}));
+  EXPECT_TRUE(std::isnan(r.values[2]));
+}
+
+TEST(TopKFastPath, ColumnStructuredMatrixStaysOnFastPath) {
+  // A stride-512 sample of this matrix reads only columns 0 and 512. Scaled
+  // up, they drag the threshold so high that too few elements survive;
+  // scaled down, so low that the filter prunes little. The spread sample
+  // sees every column, so neither case leaves the fast path.
+  for (const int threads : {1, 4}) {
+    const ScopedPool pool(threads);
+    for (const float scale : {4.0F, 0.25F}) {
+      Rng rng(29);
+      const Tensor t = column_structured(rng, scale);
+      Workspace ws;
+      TopKResult fast;
+      top_k_abs_into(t.data(), 10486, fast, &ws);
+      const std::string what =
+          "scale " + std::to_string(scale) + ", pool " + std::to_string(threads);
+      expect_same(fast, top_k_abs_exact(t.data(), 10486), what);
+      EXPECT_EQ(ws.idx.capacity(), 0U) << what << ": fell back to the exact path";
+    }
+  }
+}
+
+TEST(TopKFastPath, AccumulateMatchesAddThenSelect) {
+  // The fused error-feedback pass stores the same sums, bit for bit, and
+  // selects as the exact path does over them.
+  for (const int threads : {1, 4}) {
+    const ScopedPool pool(threads);
+    for (const std::int64_t n : {1000L, 100000L}) {
+      Rng rng(31);
+      const Tensor g = Tensor::randn({n}, rng);
+      Tensor acc = Tensor::randn({n}, rng);
+      acc.at(3) = -0.0F;
+      const Tensor want_acc = add(g, acc);
+      const TopKResult want = top_k_abs_exact(want_acc.data(), n / 100);
+      TopKResult got;
+      top_k_abs_accumulate_into(g.data(), acc.data(), n / 100, got);
+      const std::string what = "n " + std::to_string(n) + ", pool " + std::to_string(threads);
+      ASSERT_EQ(std::memcmp(acc.data().data(), want_acc.data().data(), acc.byte_size()), 0)
+          << what;
+      expect_same(got, want, what);
+    }
+  }
+  Tensor short_acc({3});
+  TopKResult out;
+  EXPECT_THROW(top_k_abs_accumulate_into(std::vector<float>(4), short_acc.data(), 1, out),
+               std::invalid_argument);
+}
+
 TEST(TopKWorkspace, SteadyStateReusesCapacity) {
+  // One workspace serves layers of two sizes, plain and accumulating.
   Rng rng(19);
-  const Tensor t = Tensor::randn({100000}, rng);
+  const Tensor big = Tensor::randn({100000}, rng);
+  const Tensor small = Tensor::randn({20000}, rng);
+  Tensor acc({100000});
   Workspace ws;
   TopKResult out;
-  top_k_abs_into(t.data(), 1000, out, &ws);  // warm-up sizes everything
+  const auto step = [&] {
+    top_k_abs_into(small.data(), 200, out, &ws);
+    std::fill(acc.data().begin(), acc.data().end(), 0.0F);
+    top_k_abs_accumulate_into(big.data(), acc.data(), 1000, out, &ws);
+    top_k_abs_into(big.data(), 1000, out, &ws);
+  };
+  step();  // warm-up sizes everything
   const auto cap_idx = ws.idx.capacity();
   const auto cap_sample = ws.sample.capacity();
-  const auto cap_cand = ws.candidates.capacity();
-  const auto cap_off = ws.chunk_off.capacity();
+  const auto* hits = ws.hits.get();
+  const auto hits_size = ws.hits_size;
+  const auto cap_hit_count = ws.hit_count.capacity();
+  const auto cap_keys = ws.keys.capacity();
   const auto cap_indices = out.indices.capacity();
   const auto cap_values = out.values.capacity();
-  const TopKResult expected = top_k_abs_exact(t.data(), 1000);
+  const TopKResult expected = top_k_abs_exact(big.data(), 1000);
   for (int iter = 0; iter < 5; ++iter) {
-    top_k_abs_into(t.data(), 1000, out, &ws);
+    step();
     EXPECT_EQ(out.indices, expected.indices);
     EXPECT_EQ(out.values, expected.values);
   }
   // Steady state must not have grown any buffer (i.e. no reallocation).
   EXPECT_EQ(ws.idx.capacity(), cap_idx);
   EXPECT_EQ(ws.sample.capacity(), cap_sample);
-  EXPECT_EQ(ws.candidates.capacity(), cap_cand);
-  EXPECT_EQ(ws.chunk_off.capacity(), cap_off);
+  EXPECT_EQ(ws.hits.get(), hits);
+  EXPECT_EQ(ws.hits_size, hits_size);
+  EXPECT_EQ(ws.hit_count.capacity(), cap_hit_count);
+  EXPECT_EQ(ws.keys.capacity(), cap_keys);
   EXPECT_EQ(out.indices.capacity(), cap_indices);
   EXPECT_EQ(out.values.capacity(), cap_values);
 }

@@ -2,20 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "compress/state_io.hpp"
 #include "compressor_harness.hpp"
+#include "counting_new.hpp"
+#include "scoped_pool.hpp"
 #include "tensor/rng.hpp"
 
 namespace gradcomp::compress {
 namespace {
 
+using gradcomp::testing::g_allocations;
 using gradcomp::testing::MultiRankHarness;
+using gradcomp::testing::ScopedPool;
 using gradcomp::testing::exact_mean;
+using gradcomp::testing::overlapping_gradients;
+using gradcomp::testing::sparse_reference_mean;
 using tensor::Rng;
 using tensor::Tensor;
+
+// This rank's stored residual for `layer`.
+Tensor stored_residual(const TopKCompressor& c, LayerId layer) {
+  const auto bytes = c.serialize_state();
+  tensor::ByteReader reader(bytes, "test");
+  return detail::read_tensor_map(reader).at(layer);
+}
 
 CompressorConfig topk_config(double fraction, bool ef = false) {
   CompressorConfig c;
@@ -125,6 +143,69 @@ TEST(TopKCompressor, FullFractionAggregateEqualsMean) {
   for (const auto& r : results) EXPECT_LT(tensor::max_abs_diff(r, expect), 1e-5);
 }
 
+TEST(TopKCompressor, AggregateMatchesFillScatterScaleReference) {
+  // The decode scales only the touched coordinates; the result must still
+  // be memcmp-equal to fill -> rank-ordered scatter-add -> x (1/p), with
+  // overlapping supports and one coordinate sent by every rank.
+  for (const int threads : {1, 4}) {
+    const ScopedPool pool(threads);
+    for (const int p : {3, 4}) {
+      for (const bool fp16 : {false, true}) {
+        Rng rng(43 + static_cast<std::uint64_t>(p));
+        const auto grads = overlapping_gradients(p, 20000, rng);
+        CompressorConfig config = topk_config(0.01, /*ef=*/true);
+        config.fp16_values = fp16;
+        std::vector<std::vector<std::byte>> payloads;
+        for (const auto& g : grads) {
+          const auto sparse = tensor::top_k_abs_exact(g.data(), 200);
+          payloads.push_back(fp16 ? TopKCompressor::serialize_half(sparse)
+                                  : TopKCompressor::serialize(sparse));
+        }
+        const Tensor want = sparse_reference_mean(payloads, fp16, {20000});
+        MultiRankHarness harness(config, p);
+        const auto got = harness.aggregate(0, grads);
+        for (int r = 0; r < p; ++r)
+          ASSERT_EQ(std::memcmp(got[static_cast<std::size_t>(r)].data().data(),
+                                want.data().data(), want.byte_size()),
+                    0)
+              << "pool " << threads << " p=" << p << " fp16=" << fp16 << " rank " << r;
+      }
+    }
+  }
+}
+
+TEST(TopKCompressor, DecodeMeanMatchesReferenceOnHandBuiltPayloads) {
+  // A repeated index adds twice, an empty payload adds nothing, and stale
+  // contents of the output are overwritten.
+  tensor::TopKResult repeated;
+  repeated.indices = {3, 3, 9};
+  repeated.values = {1.5F, 2.25F, -4.0F};
+  tensor::TopKResult other;
+  other.indices = {0, 3};
+  other.values = {7.0F, 0.1F};
+  for (const bool fp16 : {false, true}) {
+    const auto encode = fp16 ? TopKCompressor::serialize_half : TopKCompressor::serialize;
+    const std::vector<std::vector<std::byte>> payloads = {
+        encode(repeated), encode(other), encode(tensor::TopKResult{})};
+    const Tensor want = sparse_reference_mean(payloads, fp16, {10});
+    std::vector<float> got(10, 42.0F);
+    std::vector<std::uint64_t> touched;
+    TopKCompressor::decode_mean(payloads, fp16, got, touched);
+    EXPECT_EQ(std::memcmp(got.data(), want.data().data(), want.byte_size()), 0) << fp16;
+    EXPECT_NEAR(got[3], (1.5F + 2.25F + 0.1F) / 3.0F, 1e-3F);
+
+    // Validation is the deserializers': an index outside [0, n) or a body
+    // that does not match k is rejected.
+    std::vector<float> short_out(9);
+    EXPECT_THROW(TopKCompressor::decode_mean(payloads, fp16, short_out, touched),
+                 std::invalid_argument);
+    auto truncated = payloads;
+    truncated[1].pop_back();
+    EXPECT_THROW(TopKCompressor::decode_mean(truncated, fp16, got, touched),
+                 std::invalid_argument);
+  }
+}
+
 TEST(TopKCompressor, StatsBytesMatchKFormula) {
   Rng rng(4);
   std::vector<Tensor> grads;
@@ -149,34 +230,112 @@ TEST(EfTopK, ResidualEventuallyTransmitsDroppedCoordinates) {
   EXPECT_NEAR(sum.at(1), 0.4F, 0.1F);
 }
 
-TEST(EfTopK, InPlaceResidualMatchesSubtractiveReference) {
-  // The residual is updated in place; it must keep the bits of the
-  // subtractive definition, residual = (grad + residual) - decode(sent),
-  // in both value formats, including a -0.0 gradient on the first step.
-  for (const bool fp16 : {false, true}) {
-    TopKCompressor c(0.1, /*error_feedback=*/true, fp16);
-    Rng rng(17);
-    Tensor residual;
-    for (int step = 0; step < 4; ++step) {
-      Tensor g = Tensor::randn({97}, rng);
-      if (step == 0) g.at(5) = -0.0F;
-      const Tensor work = step == 0 ? g : tensor::add(g, residual);
-      const auto sparse = tensor::top_k_abs(work.data(), c.k_for(97));
-      const auto sent = fp16 ? TopKCompressor::deserialize_half(
-                                   TopKCompressor::serialize_half(sparse), 97)
-                             : sparse;
-      Tensor kept({97});
-      tensor::scatter(sent, kept.data());
-      residual = tensor::sub(work, kept);
+// The residual is updated in place; it must keep the bits of the
+// subtractive definition, residual = (grad + residual) - decode(sent), with
+// the exact selection as the reference, including a -0.0 gradient on the
+// first step.
+void expect_subtractive_residual(double fraction, bool fp16,
+                                 const std::function<Tensor(Rng&)>& make_grad) {
+  TopKCompressor c(fraction, /*error_feedback=*/true, fp16);
+  Rng rng(17);
+  Tensor residual;
+  for (int step = 0; step < 4; ++step) {
+    Tensor g = make_grad(rng);
+    const std::int64_t n = g.numel();
+    if (step == 0) g.at(5) = -0.0F;
+    const Tensor work = step == 0 ? g : tensor::add(g, residual);
+    const auto sparse = tensor::top_k_abs_exact(work.data(), c.k_for(n));
+    const auto sent =
+        fp16 ? TopKCompressor::deserialize_half(TopKCompressor::serialize_half(sparse), n)
+             : sparse;
+    Tensor kept(g.shape());
+    tensor::scatter(sent, kept.data());
+    residual = tensor::sub(work, kept);
 
-      const Tensor back = c.roundtrip(3, g);
-      ASSERT_EQ(std::memcmp(back.data().data(), kept.data().data(), back.byte_size()), 0)
-          << "fp16=" << fp16 << " step " << step;
-      tensor::ByteWriter want;
-      detail::write_tensor_map(want, {{3, residual}});
-      EXPECT_EQ(c.serialize_state(), want.take()) << "fp16=" << fp16 << " step " << step;
-    }
+    const Tensor back = c.roundtrip(3, g);
+    ASSERT_EQ(std::memcmp(back.data().data(), kept.data().data(), back.byte_size()), 0)
+        << "fp16=" << fp16 << " step " << step;
+    tensor::ByteWriter want;
+    detail::write_tensor_map(want, {{3, residual}});
+    EXPECT_TRUE(c.serialize_state() == want.take()) << "fp16=" << fp16 << " step " << step;
   }
+}
+
+TEST(EfTopK, InPlaceResidualMatchesSubtractiveReference) {
+  for (const bool fp16 : {false, true})
+    expect_subtractive_residual(0.1, fp16, [](Rng& rng) { return Tensor::randn({97}, rng); });
+}
+
+TEST(EfTopK, FusedResidualMatchesSubtractiveReferenceOnColumnMatrix) {
+  // The MLP's 1024 x 1024 weight gradient with columns 0 and 512 scaled, on
+  // the fast path, where the gradient is added into the residual inside the
+  // selection's filter pass.
+  for (const int threads : {1, 4}) {
+    const ScopedPool pool(threads);
+    for (const bool fp16 : {false, true})
+      expect_subtractive_residual(0.01, fp16, [](Rng& rng) {
+        Tensor g = Tensor::randn({1024, 1024}, rng);
+        for (std::int64_t row = 0; row < 1024; ++row) {
+          g.at(row * 1024) *= 4.0F;
+          g.at(row * 1024 + 512) *= 4.0F;
+        }
+        return g;
+      });
+  }
+}
+
+TEST(EfTopK, SentNonFiniteValueLeavesZeroResidual) {
+  // NaN and ±Inf rank first, so they are sent at once and reach every
+  // receiver. The residual keeps +0 for them in both value formats, as for
+  // a finite value whose fp16 rounding overflows, so a finite next step
+  // stays finite.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const bool fp16 : {false, true}) {
+    TopKCompressor c(0.01, /*error_feedback=*/true, fp16);
+    Rng rng(41);
+    Tensor g = Tensor::randn({20000}, rng);
+    g.at(5) = nan;
+    g.at(6) = inf;
+    g.at(7) = -inf;
+    g.at(8) = 1e6F;  // beyond fp16's range
+    const Tensor back = c.roundtrip(3, g);
+    EXPECT_TRUE(std::isnan(back.at(5))) << "fp16=" << fp16;
+    EXPECT_EQ(back.at(6), inf) << "fp16=" << fp16;
+    EXPECT_EQ(back.at(7), -inf) << "fp16=" << fp16;
+    EXPECT_EQ(back.at(8), fp16 ? inf : 1e6F) << "fp16=" << fp16;
+    const Tensor residual = stored_residual(c, 3);
+    for (const std::int64_t i : {5, 6, 7, 8})
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(residual.at(i)), 0U) << "fp16=" << fp16 << " i=" << i;
+
+    const Tensor next = c.roundtrip(3, Tensor::randn({20000}, rng));
+    for (const float v : next.data()) ASSERT_TRUE(std::isfinite(v)) << "fp16=" << fp16;
+    const Tensor next_residual = stored_residual(c, 3);
+    for (const float v : next_residual.data()) ASSERT_TRUE(std::isfinite(v)) << "fp16=" << fp16;
+  }
+}
+
+TEST(EfTopK, WarmSelectionAndDecodeDoNotAllocate) {
+  // The encode's selection and the decode reuse their scratch: in steady
+  // state the payloads are the only allocations of a step.
+  const ScopedPool pool(1);
+  Rng rng(47);
+  const Tensor g = Tensor::randn({200000}, rng);
+  const Tensor start = Tensor::randn({200000}, rng);
+  Tensor residual = start;
+  tensor::Workspace ws;
+  tensor::TopKResult sparse;
+  tensor::top_k_abs_accumulate_into(g.data(), residual.data(), 2000, sparse, &ws);
+  const std::vector<std::vector<std::byte>> payloads(3, TopKCompressor::serialize(sparse));
+  std::vector<float> out(200000);
+  std::vector<std::uint64_t> touched;
+  TopKCompressor::decode_mean(payloads, false, out, touched);
+
+  std::copy(start.data().begin(), start.data().end(), residual.data().begin());
+  const std::int64_t before = g_allocations.load();
+  tensor::top_k_abs_accumulate_into(g.data(), residual.data(), 2000, sparse, &ws);
+  TopKCompressor::decode_mean(payloads, false, out, touched);
+  EXPECT_EQ(g_allocations.load() - before, 0);
 }
 
 TEST(EfTopK, WithoutEfSmallCoordinateNeverSent) {
